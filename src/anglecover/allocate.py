@@ -94,9 +94,7 @@ def optimal_allocation(g: RotationGraph) -> tuple[AngleAssignment, int]:
     for e in sorted(g.edges):
         if e in covered:
             continue
-        u, v = g.edges[e]
-        w = min(u, v)
-        slot = g.edge_slots(w)[e][0]
+        w, slot = min(g.ends(e))
         angles.setdefault(w, []).append(Angle(w, slot, min(2, g.deg(w))))
         covered.add(e)
 

@@ -3,11 +3,20 @@
 A rotation system stores, for every vertex, the cyclic order of its
 incident edge ends ("slots").  A self-loop occupies two distinct slots at
 its vertex.  All functions here are pure: they never mutate their inputs.
+
+Each graph carries one dart index (`RotationGraph.dart_index`), built on
+first use.  A dart is one (vertex, slot) pair; darts are numbered
+0..2|E|-1 in ascending vertex order, so slot s at v is dart first[v] + s.
+The index stores, per dart, its vertex, its edge and its twin (the other
+end of the same edge), and per edge its lower dart.  `g.ends(e)` returns
+an edge's two (vertex, slot) ends from it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class MalformedAssignmentError(ValueError):
@@ -64,28 +73,19 @@ class RotationGraph:
             seen.add(key)
         return True
 
-    def darts(self):
-        """All (vertex, slot) pairs; there are exactly 2|E| of them."""
-        for v in self.vertices:
-            for s in range(self.deg(v)):
-                yield (v, s)
+    @cached_property
+    def dart_index(self) -> "DartIndex":
+        return DartIndex.of(self)
 
-    def twin_map(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Map each dart to the other occurrence of its edge."""
-        occ: dict[int, list[tuple[int, int]]] = {}
-        for v in self.vertices:
-            for s, e in enumerate(self.rotation.get(v, ())):
-                occ.setdefault(e, []).append((v, s))
-        twins: dict[tuple[int, int], tuple[int, int]] = {}
-        for e, ds in occ.items():
-            if len(ds) != 2:
-                raise UnsupportedInputError(
-                    f"edge {e} has {len(ds)} rotation occurrences, expected 2"
-                )
-            a, b = ds
-            twins[a] = b
-            twins[b] = a
-        return twins
+    def ends(self, e: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Edge e = (u, w) as ((u, slot at u), (w, slot at w)); a loop's
+        two slots come in ascending order."""
+        ix = self.dart_index
+        d = ix.dart_of[e]
+        t = ix.twin[d]
+        if ix.vertex[d] != self.edges[e][0]:
+            d, t = t, d
+        return (ix.vertex[d], ix.slot(d)), (ix.vertex[t], ix.slot(t))
 
     def edge_slots(self, v: int) -> dict[int, list[int]]:
         """Slots at v keyed by edge id (a loop maps to both its slots)."""
@@ -93,6 +93,62 @@ class RotationGraph:
         for s, e in enumerate(self.rotation.get(v, ())):
             out.setdefault(e, []).append(s)
         return out
+
+
+@dataclass(frozen=True)
+class DartIndex:
+    """Flat per-dart arrays of a rotation graph (see the module docstring)."""
+
+    first: dict[int, int]  # vertex -> its slot-0 dart
+    vertex: list[int]  # dart -> vertex
+    edge: list[int]  # dart -> edge id
+    twin: list[int]  # dart -> the other dart of its edge
+    dart_of: dict[int, int]  # edge id -> its lower dart
+
+    @staticmethod
+    def of(g: RotationGraph) -> "DartIndex":
+        first: dict[int, int] = {}
+        vertex: list[int] = []
+        edge: list[int] = []
+        for v in sorted(g.vertices):
+            rot = g.rotation.get(v, ())
+            first[v] = len(edge)
+            vertex += [v] * len(rot)
+            edge += rot
+        counts = Counter(edge)
+        bad = next((e for e in (*counts, *g.edges) if counts[e] != 2), None)
+        if bad is not None:
+            raise UnsupportedInputError(
+                f"edge {bad} has {counts[bad]} rotation occurrences, expected 2"
+            )
+        dart_of: dict[int, int] = {}
+        twin = [0] * len(edge)
+        for d, e in enumerate(edge):
+            o = dart_of.setdefault(e, d)
+            twin[o], twin[d] = d, o
+        return DartIndex(first, vertex, edge, twin, dart_of)
+
+    def slot(self, d: int) -> int:
+        return d - self.first[self.vertex[d]]
+
+
+def find(parent, x):
+    """Union-find root of x with path halving; `parent` maps each item to
+    its parent (a dict or a list)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def components(g: RotationGraph) -> dict[int, int]:
+    """Map each vertex to a representative of its connected component."""
+    parent = {v: v for v in g.vertices}
+    for u, v in g.edges.values():
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+    return {v: find(parent, v) for v in g.vertices}
 
 
 @dataclass(frozen=True)
@@ -172,8 +228,10 @@ def validate_graph(g: RotationGraph) -> list[str]:
         for w in {u, v}:
             if w not in vset:
                 issues.append(f"edge {e}: endpoint {w} is not a vertex")
+    occurrences: Counter[tuple[int, int]] = Counter()
     for v in g.vertices:
         for e in g.rotation.get(v, ()):
+            occurrences[v, e] += 1
             if e not in g.edges:
                 issues.append(f"vertex {v}: rotation names unknown edge {e}")
             elif v not in g.edges[e]:
@@ -182,21 +240,22 @@ def validate_graph(g: RotationGraph) -> list[str]:
         if u not in vset or v not in vset:
             continue
         if u == v:
-            count = sum(1 for x in g.rotation.get(u, ()) if x == e)
+            count = occurrences[u, e]
             if count != 2:
                 issues.append(
                     f"self-loop {e} at {u} occurs {count} times in rotation, expected 2"
                 )
         else:
             for w in (u, v):
-                count = sum(1 for x in g.rotation.get(w, ()) if x == e)
+                count = occurrences[w, e]
                 if count != 1:
                     issues.append(
                         f"edge {e}=({u},{v}) occurs {count} times in rotation of {w},"
                         " expected 1"
                     )
+    endpoints = {w for ends in g.edges.values() for w in ends}
     for v in g.vertices:
-        if v not in g.rotation and any(v in ends for ends in g.edges.values()):
+        if v not in g.rotation and v in endpoints:
             issues.append(f"vertex {v}: missing rotation")
     return issues
 
@@ -216,8 +275,9 @@ def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> Cove
     slot at one of its endpoints (either slot, for a self-loop).
     """
     vset = set(g.vertices)
+    ix = g.dart_index
     violations: list[str] = []
-    covered_slots: dict[int, set[int]] = {}
+    covered = bytearray(len(ix.twin))
     for v, angs in asg.angles.items():
         if v not in vset:
             raise MalformedAssignmentError(f"assignment names unknown vertex {v}")
@@ -239,19 +299,12 @@ def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> Cove
                     f"vertex {v}: angle width {ang.width}, expected min(m, deg) = {want}"
                 )
                 continue
-            covered_slots.setdefault(v, set()).update(ang.slots(d))
+            for s in ang.slots(d):
+                covered[ix.first[v] + s] = 1
     uncovered = []
-    for e, (u, v) in sorted(g.edges.items()):
-        hit = False
-        for w in {u, v}:
-            slots = covered_slots.get(w)
-            if slots and any(
-                s in slots
-                for s, x in enumerate(g.rotation.get(w, ()))
-                if x == e
-            ):
-                hit = True
-        if not hit:
+    for e in sorted(g.edges):
+        d = ix.dart_of[e]
+        if not (covered[d] or covered[ix.twin[d]]):
             uncovered.append(e)
     valid = not violations and not uncovered
     return CoverCheck(valid, tuple(uncovered), tuple(violations))
@@ -282,45 +335,33 @@ def trace_faces(g: RotationGraph) -> FaceData:
     rotation slot".  For each connected component,
     genus = (2 - V + E - F) / 2; isolated vertices count one face.
     """
-    twins = g.twin_map()
-    # Union-find over vertices to split Euler counts per component.
-    parent = {v: v for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges.values():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
+    ix = g.dart_index
+    comp = components(g)
     faces: list[tuple[tuple[int, int], ...]] = []
     face_of_component: dict[int, int] = {}
-    seen: set[tuple[int, int]] = set()
-    for start in sorted(twins):
-        if start in seen:
+    seen = bytearray(len(ix.twin))
+    for start in range(len(ix.twin)):
+        if seen[start]:
             continue
         cycle = []
         d = start
-        while True:
-            cycle.append(d)
-            seen.add(d)
-            w, s = twins[d]
-            d = (w, (s + 1) % g.deg(w))
-            if d == start:
-                break
+        while not seen[d]:
+            seen[d] = 1
+            cycle.append((ix.vertex[d], ix.slot(d)))
+            t = ix.twin[d]
+            w = ix.vertex[t]
+            d = t + 1  # the next slot at w, wrapping round to slot 0
+            if d == len(ix.twin) or ix.vertex[d] != w:
+                d = ix.first[w]
         faces.append(tuple(cycle))
-        root = find(cycle[0][0])
+        root = comp[cycle[0][0]]
         face_of_component[root] = face_of_component.get(root, 0) + 1
 
     counts: dict[int, list[int]] = {}
     for v in g.vertices:
-        counts.setdefault(find(v), [0, 0])[0] += 1
+        counts.setdefault(comp[v], [0, 0])[0] += 1
     for u, _ in g.edges.values():
-        counts[find(u)][1] += 1
+        counts[comp[u]][1] += 1
 
     component_genus = {}
     for root, (nv, ne) in counts.items():

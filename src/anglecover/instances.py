@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import Angle, AngleAssignment, RotationGraph
+from .core import Angle, AngleAssignment, RotationGraph, find
 
 
 @dataclass(frozen=True)
@@ -612,17 +612,10 @@ def gen_random_plane_deg4(n: int, seed) -> RotationGraph:
                 candidates.append(((x, y), other))
     rng.shuffle(candidates)
     parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     chosen = []
     extras = []
     for c1, c2 in candidates:
-        a, b = find(index[c1]), find(index[c2])
+        a, b = find(parent, index[c1]), find(parent, index[c2])
         if a != b:
             parent[a] = b
             chosen.append((c1, c2))

@@ -20,6 +20,7 @@ from .core import (
     CoverSpec,
     RotationGraph,
     UnsupportedInputError,
+    check_cover,
 )
 from .solve import oracle_solve
 from .transform import Multigraph
@@ -224,11 +225,13 @@ def extract_3colouring(
         covered: set[int] = set()
         for ang in cover.angles.get(c, ()):
             covered.update(ang.slots(deg))
-        slot_of = h.edge_slots(c)
         uncovered = [
             k
             for k in range(3)
-            if not any(s in covered for s in slot_of[gmap.centre_edges[(v, k)]])
+            if not any(
+                w == c and s in covered
+                for w, s in h.ends(gmap.centre_edges[(v, k)])
+            )
         ]
         if len(uncovered) != 1:
             raise UnsupportedInputError(
@@ -396,12 +399,13 @@ def max_coverage(
     decide_at = {i: [] for i in range(len(verts))}
     for e, (u, v) in g.edges.items():
         later, earlier = (u, v) if pos[u] >= pos[v] else (v, u)
+        ends = g.ends(e)
         decide_at[pos[later]].append(
             (
                 e,
-                tuple(g.edge_slots(later)[e]),
+                tuple(s for w, s in ends if w == later),
                 earlier,
-                tuple(g.edge_slots(earlier).get(e, ())),
+                tuple(s for w, s in ends if w == earlier),
             )
         )
     remaining = [0] * (len(verts) + 1)
@@ -449,25 +453,6 @@ def max_coverage(
     return best, asg
 
 
-def _uncovered_edges(g: RotationGraph, asg: AngleAssignment) -> list[int]:
-    covered_slots: dict[int, set[int]] = {}
-    for v, angs in asg.angles.items():
-        d = g.deg(v)
-        covered_slots[v] = {s for a in angs for s in a.slots(d)}
-    out = []
-    for e in sorted(g.edges):
-        u, v = g.edges[e]
-        hit = False
-        for w in (u, v):
-            slots = g.edge_slots(w).get(e, ())
-            if any(s in covered_slots.get(w, ()) for s in slots):
-                hit = True
-                break
-        if not hit:
-            out.append(e)
-    return out
-
-
 def reduce_witness(
     g_input: RotationGraph,
     witness: RotationGraph,
@@ -498,7 +483,7 @@ def reduce_witness(
             "witness check exhausted its budget; refusing to guess"
         )
     covered, asg = max_coverage(witness, spec)
-    d_edges = _uncovered_edges(witness, asg)
+    d_edges = list(check_cover(witness, asg, spec).uncovered_edges)
     assert len(d_edges) == len(witness.edges) - covered and d_edges
     return _build_witness_reduction(g_input, witness, d_edges, a)
 

@@ -9,7 +9,6 @@ and a brute-force minimum-allocation search used as a testing oracle.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .core import (
     Angle,
@@ -19,6 +18,7 @@ from .core import (
     CoverSpec,
     RotationGraph,
     UnsupportedInputError,
+    components,
     trace_faces,
 )
 
@@ -86,12 +86,8 @@ def oracle_solve(
     # are covered there for free (a dominance-preserving simplification).
     options: dict[int, list[tuple[int, int]]] = {}
     free_used: set[int] = set()
-    for e, (u, v) in sorted(g.edges.items()):
-        darts = []
-        for w in (u, v) if u != v else (u,):
-            for s, x in enumerate(g.rotation[w]):
-                if x == e:
-                    darts.append((w, s))
+    for e in sorted(g.edges):
+        darts = list(g.ends(e))
         if forced and e in forced:
             darts = [d for d in darts if d[0] == forced[e]]
             if not darts:
@@ -210,42 +206,24 @@ def oracle_solve(
 # Regularisation helpers shared by the traversal solvers.
 
 
-@dataclass
-class _Regularized:
-    rotation: dict[int, list[int]]
-    orig_deg: dict[int, int]
-    twins: dict[tuple[int, int], tuple[int, int]]
-    edge_at: dict[tuple[int, int], int]
-
-
-def _regularize(g: RotationGraph, target: int) -> _Regularized:
+def _regularize(g: RotationGraph, target: int) -> RotationGraph:
     """Pad every vertex to degree `target` with dummy edges.
 
     Per connected component, vertices of deficient degree are paired
     greedily by lowest id; a single leftover vertex receives self-loops.
     Dummy slots are appended at the end of each rotation so original
-    cyclic adjacencies survive projection.
+    cyclic adjacencies survive projection.  Every vertex of the padded
+    graph has degree `target`, so its slot s at the vertex of rank i is
+    dart target * i + s.
     """
     rot = {v: list(g.rotation.get(v, ())) for v in g.vertices}
-    orig_deg = {v: len(rot[v]) for v in g.vertices}
+    edges = dict(g.edges)
     next_edge = max(g.edges, default=-1) + 1
 
-    parent = {v: v for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges.values():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
+    root = components(g)
     comps: dict[int, list[int]] = {}
     for v in sorted(g.vertices):
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(root[v], []).append(v)
 
     for members in comps.values():
         deficient = [v for v in members if len(rot[v]) < target]
@@ -256,6 +234,7 @@ def _regularize(g: RotationGraph, target: int) -> _Regularized:
             u, v = deficient[0], deficient[1]
             rot[u].append(next_edge)
             rot[v].append(next_edge)
+            edges[next_edge] = (u, v)
             next_edge += 1
         if deficient:
             v = deficient[0]
@@ -263,20 +242,9 @@ def _regularize(g: RotationGraph, target: int) -> _Regularized:
             assert need % 2 == 0, "component degree parity broken"
             for _ in range(need // 2):
                 rot[v].extend([next_edge, next_edge])
+                edges[next_edge] = (v, v)
                 next_edge += 1
-
-    occ: dict[int, list[tuple[int, int]]] = {}
-    edge_at: dict[tuple[int, int], int] = {}
-    for v in sorted(g.vertices):
-        for s, e in enumerate(rot[v]):
-            occ.setdefault(e, []).append((v, s))
-            edge_at[(v, s)] = e
-    twins = {}
-    for ds in occ.values():
-        a, b = ds
-        twins[a] = b
-        twins[b] = a
-    return _Regularized(rot, orig_deg, twins, edge_at)
+    return RotationGraph(g.vertices, edges, {v: tuple(r) for v, r in rot.items()})
 
 
 def _project_groups(
@@ -308,35 +276,32 @@ def solve_deg4(g: RotationGraph) -> Certificate:
     """
     if g.max_degree() > 4:
         raise UnsupportedInputError("solve_deg4 requires maximum degree <= 4")
-    reg = _regularize(g, 4)
-    traversed: set[int] = set()
-    out_slots: dict[int, list[int]] = {v: [] for v in g.vertices}
-
-    for v in sorted(g.vertices):
-        for s in range(4):
-            if reg.edge_at[(v, s)] in traversed:
-                continue
-            d0 = (v, s)
-            d = d0
-            while True:
-                traversed.add(reg.edge_at[d])
-                out_slots[d[0]].append(d[1])
-                w, t = reg.twins[d]
-                nxt = (w, (t + 2) % 4)
-                if reg.edge_at[nxt] in traversed:
-                    assert nxt == d0, "walk hit a directed edge before closing"
-                    break
-                d = nxt
+    twin = _regularize(g, 4).dart_index.twin
+    # 0: edge not yet walked; 1: walked out of this dart; 2: walked into it.
+    used = bytearray(len(twin))
+    for d0 in range(len(twin)):
+        if used[d0]:
+            continue
+        d = d0
+        while True:
+            used[d] = 1
+            t = twin[d]
+            used[t] = 2
+            nxt = t ^ 2  # the slot opposite t, since every degree is 4
+            if used[nxt]:
+                assert nxt == d0, "walk hit a directed edge before closing"
+                break
+            d = nxt
 
     angles: dict[int, list[Angle]] = {}
-    for v in sorted(g.vertices):
-        outs = sorted(out_slots[v])
+    for i, v in enumerate(sorted(g.vertices)):
+        outs = [s for s in range(4) if used[4 * i + s] == 1]
         assert len(outs) == 2
         s1, s2 = outs
         assert (s2 - s1) % 4 in (1, 3), "outgoing slots not consecutive"
         if (s1 + 1) % 4 != s2:
             s1, s2 = s2, s1  # wrap pair (3, 0)
-        projected = _project_groups(v, [[s1, s2]], reg.orig_deg[v], 2)
+        projected = _project_groups(v, [[s1, s2]], g.deg(v), 2)
         if projected:
             angles[v] = projected
     return Certificate("YES", AngleAssignment.build(angles))
@@ -356,14 +321,14 @@ def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
         raise UnsupportedInputError(f"graph has degree above {delta}")
     a_target = delta // 2 - delta // 6
     k = delta // 6
-    reg = _regularize(g, delta)
-    traversed: set[int] = set()
+    ix = _regularize(g, delta).dart_index
+    used = bytearray(len(ix.twin))  # darts whose edge has been walked
     # Per (vertex, sextet): outgoing slot offsets (0..5), first two adjacent.
     sextet_out: dict[int, list[list[int]]] = {v: [[] for _ in range(k)] for v in g.vertices}
     leftover_out: dict[int, list[int]] = {v: [] for v in g.vertices}
 
     def undirected(v, s):
-        return reg.edge_at[(v, s)] not in traversed
+        return not used[ix.first[v] + s]
 
     def spill_exit(v):
         for s in range(6 * k, delta):
@@ -414,20 +379,21 @@ def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
         else:
             leftover_out[v].append(s)
 
-    for v0 in sorted(g.vertices):
-        for s0 in range(delta):
-            if reg.edge_at[(v0, s0)] in traversed:
-                continue
-            start = v0
-            d = (v0, choose_exit(v0, None))
-            while True:
-                traversed.add(reg.edge_at[d])
-                record_out(*d)
-                w, t = reg.twins[d]
-                if not any(undirected(w, s) for s in range(delta)):
-                    assert w == start, "walk stuck away from its start vertex"
-                    break
-                d = (w, choose_exit(w, t))
+    for d0 in range(len(ix.twin)):
+        if used[d0]:
+            continue
+        start = v = ix.vertex[d0]
+        s = choose_exit(v, None)
+        while True:
+            d = ix.first[v] + s
+            t = ix.twin[d]
+            used[d] = used[t] = 1
+            record_out(v, s)
+            v = ix.vertex[t]
+            if all(used[ix.first[v] : ix.first[v] + delta]):
+                assert v == start, "walk stuck away from its start vertex"
+                break
+            s = choose_exit(v, ix.slot(t))
 
     angles: dict[int, list[Angle]] = {}
     for v in sorted(g.vertices):
@@ -448,7 +414,7 @@ def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
         for s in sorted(leftover_out[v]):
             groups.append([s])
         assert len(groups) <= a_target, "angle budget exceeded"
-        projected = _project_groups(v, groups, reg.orig_deg[v], 2)
+        projected = _project_groups(v, groups, g.deg(v), 2)
         if projected:
             angles[v] = projected
     return Certificate("YES", AngleAssignment.build(angles))
@@ -478,13 +444,8 @@ def solve_no_deg3(g: RotationGraph, budget: int | None = None) -> Certificate:
         adj[l1 ^ 1].append(l2)
         adj[l2 ^ 1].append(l1)
 
-    for e, (u, v) in sorted(g.edges.items()):
-        darts = [
-            (w, s)
-            for w in ((u, v) if u != v else (u,))
-            for s, x in enumerate(g.rotation[w])
-            if x == e
-        ]
+    for e in sorted(g.edges):
+        darts = g.ends(e)
         lits = [2 * var_index[d] for d in darts if d in var_index]
         if len(lits) < len(darts):
             continue  # a low-degree endpoint covers this edge for free
@@ -595,18 +556,17 @@ def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate
     for e, (u, v) in g.edges.items():
         remaining[u].add(e)
         remaining[v].add(e)
-    slot_of = {v: {e: s for s, e in enumerate(g.rotation.get(v, ()))} for v in g.vertices}
     angles: dict[int, list[Angle]] = {}
     alive = set(g.vertices)
 
     def ear_angle(v) -> Angle | None:
+        """The angle over v's remaining edges, if they number one or two
+        and sit on consecutive slots; None otherwise."""
         edges = remaining[v]
         d = g.deg(v)
-        if len(edges) > 2:
+        if not 0 < len(edges) <= 2:
             return None
-        if not edges:
-            return "none"  # sentinel: peelable without an angle
-        slots = sorted(slot_of[v][e] for e in edges)
+        slots = sorted(s for e in edges for w, s in g.ends(e) if w == v)
         if len(slots) == 1:
             return Angle(v, slots[0], min(2, d))
         s1, s2 = slots
@@ -619,7 +579,9 @@ def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate
     def peel() -> bool:
         if not alive:
             return True
-        candidates = sorted(v for v in alive if ear_angle(v) is not None)
+        candidates = sorted(
+            v for v in alive if not remaining[v] or ear_angle(v) is not None
+        )
         for v in candidates:
             ang = ear_angle(v)
             removed = list(remaining[v])
@@ -627,11 +589,11 @@ def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate
             for e in removed:
                 for w in g.edges[e]:
                     remaining[w].discard(e)
-            if ang != "none":
+            if ang is not None:
                 angles[v] = [ang]
             if peel():
                 return True
-            if ang != "none":
+            if ang is not None:
                 del angles[v]
             alive.add(v)
             for e in removed:
@@ -657,15 +619,7 @@ def min_allocation_bruteforce(
         raise UnsupportedInputError(f"instance above brute-force cap ({cap} edges)")
     deg = {v: g.deg(v) for v in g.vertices}
     edge_ids = sorted(g.edges)
-    options: dict[int, list[tuple[int, int]]] = {}
-    for e in edge_ids:
-        u, v = g.edges[e]
-        options[e] = [
-            (w, s)
-            for w in ((u, v) if u != v else (u,))
-            for s, x in enumerate(g.rotation[w])
-            if x == e
-        ]
+    options = {e: g.ends(e) for e in edge_ids}
     committed: dict[int, set[int]] = {v: set() for v in g.vertices}
     mac: dict[int, int] = {v: 0 for v in g.vertices}
     best_size = [g.num_edges() + 1]

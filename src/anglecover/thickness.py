@@ -95,8 +95,8 @@ def blowup_decomposition(
         for idx, e in enumerate(arc[w]):
             if keep[e] != w:
                 continue
-            u = g.edges[e][0] + g.edges[e][1] - w
-            slot = g.edge_slots(u)[e][0]
+            ends = g.ends(e)
+            u, slot = ends[1] if ends[0][0] == w else ends[0]
             side = before[u] if idx == 0 else after[u]
             assert slot not in side
             side[slot] = cross_edge[e]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anglecover.core import (
     Angle,
@@ -6,16 +7,62 @@ from anglecover.core import (
     BASIC_SPEC,
     CoverSpec,
     RotationGraph,
+    UnsupportedInputError,
     check_cover,
     trace_faces,
     validate_graph,
 )
+from anglecover.fileio import parse_instance, serialize_instance
 from conftest import complete_rotation_graph, rotation_graph
 
 
 def test_validate_flags_missing_rotation_occurrence():
     g = RotationGraph.build(range(2), {0: (0, 1)}, {0: (0,), 1: ()})
     assert validate_graph(g)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, rotation, messages",
+    [
+        ([0], {0: (0, 1)}, {0: (0,)}, ["edge 0: endpoint 1 is not a vertex"]),
+        (
+            range(2),
+            {0: (0, 1)},
+            {0: (0, 5), 1: (0,)},
+            ["vertex 0: rotation names unknown edge 5"],
+        ),
+        (
+            range(3),
+            {0: (0, 1)},
+            {0: (0,), 1: (0,), 2: (0,)},
+            ["vertex 2: rotation lists non-incident edge 0"],
+        ),
+        (
+            [0],
+            {0: (0, 0)},
+            {0: (0,)},
+            ["self-loop 0 at 0 occurs 1 times in rotation, expected 2"],
+        ),
+        (
+            range(2),
+            {0: (0, 1)},
+            {0: (0,), 1: ()},
+            ["edge 0=(0,1) occurs 0 times in rotation of 1, expected 1"],
+        ),
+        (
+            range(2),
+            {0: (0, 1)},
+            {0: (0,)},
+            [
+                "edge 0=(0,1) occurs 0 times in rotation of 1, expected 1",
+                "vertex 1: missing rotation",
+            ],
+        ),
+    ],
+)
+def test_validate_graph_messages(vertices, edges, rotation, messages):
+    g = RotationGraph.build(vertices, edges, rotation)
+    assert validate_graph(g) == messages
 
 
 def test_validate_graph_clean():
@@ -87,3 +134,76 @@ def test_effective_width_small_degree():
     g = rotation_graph([(0, 1)])
     asg = AngleAssignment.build({0: [Angle(0, 0, 1)]})
     assert check_cover(g, asg, BASIC_SPEC).valid
+
+
+def test_check_cover_loop_covered_by_second_slot_only():
+    # Vertex 0's rotation is (loop 0, loop 0, edge 1, edge 3).
+    g = rotation_graph([(0, 0), (0, 1), (1, 2), (2, 0)])
+    rest = {1: [Angle(1, 0, 2)], 2: [Angle(2, 0, 2)]}
+    asg = AngleAssignment.build({0: [Angle(0, 1, 2)], **rest})
+    assert check_cover(g, asg, BASIC_SPEC).valid
+    asg = AngleAssignment.build({0: [Angle(0, 2, 2)], **rest})
+    assert check_cover(g, asg, BASIC_SPEC).uncovered_edges == (0,)
+
+
+@st.composite
+def rotation_graphs(draw):
+    """Small rotation graphs with loops, parallel edges, isolated vertices
+    and vertices listed out of order."""
+    n = draw(st.integers(1, 6))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
+    )
+    edges = dict(enumerate(pairs))
+    incident = {v: [] for v in range(n)}
+    for e, (u, v) in edges.items():
+        incident[u].append(e)
+        incident[v].append(e)
+    rotation = {v: draw(st.permutations(slots)) for v, slots in incident.items()}
+    return RotationGraph.build(draw(st.permutations(range(n))), edges, rotation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_graphs())
+def test_dart_index_twin_is_a_fixed_point_free_involution(g):
+    ix = g.dart_index
+    assert len(ix.twin) == 2 * len(g.edges)
+    for d, t in enumerate(ix.twin):
+        assert t != d and ix.twin[t] == d and ix.edge[t] == ix.edge[d]
+        assert g.rotation[ix.vertex[d]][ix.slot(d)] == ix.edge[d]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_graphs())
+def test_ends_matches_a_rotation_scan(g):
+    for e, (u, w) in g.edges.items():
+        scan = tuple(
+            (x, s)
+            for x in ((u, w) if u != w else (u,))
+            for s, y in enumerate(g.rotation[x])
+            if y == e
+        )
+        assert g.ends(e) == scan
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_graphs())
+def test_trace_faces_survives_reserialization(g):
+    copy = parse_instance(serialize_instance(g))
+    assert trace_faces(copy).faces == trace_faces(g).faces
+    assert trace_faces(copy).genus == trace_faces(g).genus
+
+
+@pytest.mark.parametrize(
+    "edges, rotation",
+    [
+        ({0: (0, 1)}, {0: (0,), 1: ()}),
+        ({0: (0, 0), 1: (0, 1)}, {0: (0, 0, 0, 1), 1: (1,)}),
+    ],
+)
+def test_dart_index_rejects_edge_not_occurring_twice(edges, rotation):
+    g = RotationGraph.build(range(2), edges, rotation)
+    with pytest.raises(UnsupportedInputError):
+        g.ends(0)
+    with pytest.raises(UnsupportedInputError):
+        trace_faces(g)
