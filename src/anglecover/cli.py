@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage or input error,
-3 = solver budget exhausted (INDETERMINATE).  The ANGLESET_BUDGET
-environment variable overrides the default oracle node budget.
+3 = solver budget exhausted (INDETERMINATE).  Without --budget, solve,
+decompose and reduce witness take the node budget from the ANGLESET_BUDGET
+environment variable, read by `main`; a bad value is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .allocate import optimal_allocation
@@ -46,6 +48,7 @@ from .reduce import (
     reduce_witness,
 )
 from .solve import (
+    DEFAULT_BUDGET,
     oracle_solve,
     solve_deg4,
     solve_no_deg3,
@@ -189,7 +192,9 @@ def _cmd_decompose(args) -> int:
         asg = parse_cover(_read(args.coverfile))
     else:
         cert = (
-            solve_deg4(g) if g.max_degree() <= 4 else oracle_solve(g)
+            solve_deg4(g)
+            if g.max_degree() <= 4
+            else oracle_solve(g, budget=args.budget)
         )
         if cert.verdict == "INDETERMINATE":
             print("INDETERMINATE: node budget exhausted", file=sys.stderr)
@@ -342,6 +347,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        raw = os.environ.get("ANGLESET_BUDGET", str(DEFAULT_BUDGET))
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ValueError(f"ANGLESET_BUDGET is not a positive integer: {raw!r}")
+        if getattr(args, "budget", None) is None:
+            args.budget = int(raw)
         return args.func(args)
     except (
         FormatError,

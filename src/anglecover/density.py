@@ -2,9 +2,10 @@
 
 A graph has low edge density when every k-vertex subgraph has at most 2k
 edges; equivalently, the bipartite graph between edges and doubled
-vertices has a matching saturating the edge side.  When it does not, a
-violating vertex set is extracted from the final alternating-reachability
-structure.
+vertices has a matching saturating the edge side (found and certified
+maximum by `allocate.maximum_matching`, via the Tutte-Berge formula).
+When it does not, a violating vertex set is extracted from the final
+alternating-reachability structure.
 """
 
 from __future__ import annotations
@@ -12,58 +13,21 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .allocate import maximum_matching
 from .core import RotationGraph
 from .transform import BipartiteGraph, build_gmat
 
-_INF = float("inf")
-
 
 def max_bipartite_matching(b: BipartiteGraph) -> dict:
-    """Maximum matching as a left-node -> right-node map (Hopcroft-Karp)."""
-    adj: dict = {l: [] for l in b.left}
+    """Maximum matching as a left-node -> right-node map."""
+    left = {l: i for i, l in enumerate(b.left)}
+    right = {r: len(left) + i for i, r in enumerate(b.right)}
+    adj: list[list[int]] = [[] for _ in range(len(left) + len(right))]
     for l, r in b.edges:
-        adj[l].append(r)
-    pair_left: dict = {}
-    pair_right: dict = {}
-    dist: dict = {}
-
-    def bfs() -> bool:
-        queue = deque()
-        for l in b.left:
-            if l not in pair_left:
-                dist[l] = 0
-                queue.append(l)
-            else:
-                dist[l] = _INF
-        found = _INF
-        while queue:
-            l = queue.popleft()
-            if dist[l] >= found:
-                continue
-            for r in adj[l]:
-                other = pair_right.get(r)
-                if other is None:
-                    found = min(found, dist[l] + 1)
-                elif dist[other] == _INF:
-                    dist[other] = dist[l] + 1
-                    queue.append(other)
-        return found != _INF
-
-    def dfs(l) -> bool:
-        for r in adj[l]:
-            other = pair_right.get(r)
-            if other is None or (dist[other] == dist[l] + 1 and dfs(other)):
-                pair_left[l] = r
-                pair_right[r] = l
-                return True
-        dist[l] = _INF
-        return False
-
-    while bfs():
-        for l in b.left:
-            if l not in pair_left:
-                dfs(l)
-    return pair_left
+        adj[left[l]].append(right[r])
+        adj[right[r]].append(left[l])
+    mate = maximum_matching(adj)
+    return {l: b.right[j - len(left)] for l, j in zip(b.left, mate) if j >= 0}
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,6 @@ and a brute-force minimum-allocation search used as a testing oracle.
 
 from __future__ import annotations
 
-import os
-
 from .core import (
     Angle,
     AngleAssignment,
@@ -22,7 +20,7 @@ from .core import (
     trace_faces,
 )
 
-DEFAULT_BUDGET = int(os.environ.get("ANGLESET_BUDGET", "10000000"))
+DEFAULT_BUDGET = 10_000_000
 
 
 def min_arc_cover(deg: int, slots, m: int) -> tuple[int, list[int]]:
@@ -226,23 +224,26 @@ def _regularize(g: RotationGraph, target: int) -> RotationGraph:
         comps.setdefault(root[v], []).append(v)
 
     for members in comps.values():
-        deficient = [v for v in members if len(rot[v]) < target]
-        while True:
-            deficient = [v for v in deficient if len(rot[v]) < target]
-            if len(deficient) < 2:
-                break
-            u, v = deficient[0], deficient[1]
-            rot[u].append(next_edge)
-            rot[v].append(next_edge)
-            edges[next_edge] = (u, v)
-            next_edge += 1
-        if deficient:
-            v = deficient[0]
-            need = target - len(rot[v])
+        # u is the lowest-id vertex still deficient; it pairs with each
+        # later deficient vertex in id order until one of them is full.
+        u = None
+        for v in members:
+            while len(rot[v]) < target:
+                if u is None:
+                    u = v
+                    break
+                rot[u].append(next_edge)
+                rot[v].append(next_edge)
+                edges[next_edge] = (u, v)
+                next_edge += 1
+                if len(rot[u]) == target:
+                    u = None
+        if u is not None:
+            need = target - len(rot[u])
             assert need % 2 == 0, "component degree parity broken"
             for _ in range(need // 2):
-                rot[v].extend([next_edge, next_edge])
-                edges[next_edge] = (v, v)
+                rot[u].extend([next_edge, next_edge])
+                edges[next_edge] = (u, u)
                 next_edge += 1
     return RotationGraph(g.vertices, edges, {v: tuple(r) for v, r in rot.items()})
 

@@ -1,6 +1,11 @@
+import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
+from anglecover.cli import main
 from anglecover.density import check_low_density, max_bipartite_matching
+from anglecover.fileio import serialize_instance
 from anglecover.instances import gen_henneberg_laman, random_henneberg_steps
 from anglecover.transform import BipartiteGraph, build_gmat
 from conftest import complete_rotation_graph, random_rotation_graph, rotation_graph
@@ -61,3 +66,43 @@ def test_random_witnesses_are_valid():
                 1 for u, v in g.edges.values() if u in s and v in s
             )
             assert inside > 2 * len(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n_left: st.tuples(
+            st.just(n_left),
+            st.integers(1, 4),
+            st.lists(st.tuples(st.integers(0, n_left - 1), st.integers(0, 3))),
+        )
+    )
+)
+def test_bipartite_matching_matches_bruteforce(graph):
+    n_left, n_right, pairs = graph
+    edges = tuple({(l, ("r", r)) for l, r in pairs if r < n_right})
+    b = BipartiteGraph(
+        tuple(range(n_left)), tuple(("r", r) for r in range(n_right)), edges
+    )
+    m = max_bipartite_matching(b)
+    assert all((l, r) in edges for l, r in m.items())
+    assert len(set(m.values())) == len(m)
+    best = max(
+        k
+        for k in range(len(edges) + 1)
+        for chosen in itertools.combinations(edges, k)
+        if len({l for l, _ in chosen}) == len({r for _, r in chosen}) == k
+    )
+    assert len(m) == best
+
+
+def test_long_augmenting_path(tmp_path, capsys):
+    # A doubled path plus a loop: low density, but saturating the edge
+    # side needs an augmenting path through all 2000 vertices.
+    pairs = [(i, i + 1) for i in range(1999) for _ in range(2)] + [(0, 0)]
+    g = rotation_graph(pairs)
+    assert check_low_density(g).low_density
+    f = tmp_path / "path.inst"
+    f.write_text(serialize_instance(g))
+    assert main(["density", str(f)]) == 0
+    assert capsys.readouterr().out == "low-density: yes\n"

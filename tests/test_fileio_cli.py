@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import anglecover
 from anglecover.cli import main
 from anglecover.core import Angle, AngleAssignment
 from anglecover.fileio import (
@@ -89,6 +94,35 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
 def test_cli_solve_budget_indeterminate(tmp_path):
     f = inst_file(tmp_path, "fig2a")
     assert main(["solve", "--algo", "oracle", "--budget", "1", f]) == 3
+
+
+def test_cli_budget_env_bad_value(monkeypatch, capsys):
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("ANGLESET_BUDGET", bad)
+        assert main(["instance", "fig1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ANGLESET_BUDGET")
+
+
+def test_cli_budget_env_override(tmp_path, monkeypatch):
+    f = inst_file(tmp_path, "fig2a")
+    monkeypatch.setenv("ANGLESET_BUDGET", "1")
+    assert main(["solve", "--algo", "oracle", f]) == 3
+    assert main(["solve", "--algo", "oracle", "--budget", "100000", f]) == 1
+    monkeypatch.setenv("ANGLESET_BUDGET", "100000")
+    assert main(["solve", "--algo", "oracle", f]) == 1
+
+
+def test_cli_import_does_not_load_networkx():
+    src = os.path.dirname(os.path.dirname(anglecover.__file__))
+    code = "import sys, anglecover.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_cli_check(tmp_path, capsys):
