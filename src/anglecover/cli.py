@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage or input error,
-3 = solver budget exhausted (INDETERMINATE).  Without --budget, solve,
-decompose and reduce witness take the node budget from the ANGLESET_BUDGET
-environment variable, read by `main`; a bad value is a usage error.
+3 = solver budget exhausted (INDETERMINATE), 4 = internal error.  Without
+--budget, solve, decompose and reduce witness take the node budget from the
+ANGLESET_BUDGET environment variable, read by `main`; a bad value is a usage
+error.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -362,6 +364,11 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Any other failure is a fault of the program; exit 1 would read as NO.
+        msg = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ and a brute-force minimum-allocation search used as a testing oracle.
 
 from __future__ import annotations
 
+import heapq
+
 from .core import (
     Angle,
     AngleAssignment,
@@ -70,9 +72,12 @@ def oracle_solve(
 
     Backtracks over per-edge coverer choices (each edge is covered from
     exactly one endpoint slot; double coverage is never needed) with unit
-    propagation and per-vertex feasibility pruning via min_arc_cover.
-    `forced` optionally pins edges to a covering endpoint.  Exceeding the
-    node budget yields an INDETERMINATE certificate, never a wrong verdict.
+    propagation and per-vertex feasibility pruning via min_arc_cover, as a
+    loop over an explicit stack and one trail.  An assignment at v
+    re-propagates only the undecided edges at v, against a cached arc
+    count; the branch edge comes from a lazy heap.  `forced` optionally
+    pins edges to a covering endpoint.  Exceeding the node budget yields
+    an INDETERMINATE certificate, never a wrong verdict.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -97,6 +102,7 @@ def oracle_solve(
         options[e] = darts
 
     committed: dict[int, set[int]] = {v: set() for v in g.vertices}
+    mac = dict.fromkeys(g.vertices, 0)  # min_arc_cover count of committed[v]
     assigned: dict[int, tuple[int, int]] = {}
     incident: dict[int, list[int]] = {v: [] for v in g.vertices}
     for e, darts in options.items():
@@ -105,83 +111,88 @@ def oracle_solve(
                 incident[w].append(e)
 
     nodes = 0
-    out_of_budget = False
+    trail: list[tuple[int, int]] = []  # (edge, previous mac of its vertex)
+    heap = [(0, e) for e in sorted(options)]  # lazy (branch key, edge)
 
-    def feasible(v: int, extra: int) -> bool:
-        count, _ = min_arc_cover(deg[v], committed[v] | {extra}, m)
-        return count <= a
+    def key(e: int) -> int:
+        return min(mac[v] * deg[v] - len(committed[v]) for v, _ in options[e])
 
-    def viable(e: int) -> list[tuple[int, int]]:
-        return [d for d in options[e] if feasible(*d)]
+    def touch(v: int) -> None:
+        for f in incident[v]:
+            if f not in assigned:
+                heapq.heappush(heap, (key(f), f))
 
-    def search(undecided: list[int]) -> bool:
-        nonlocal nodes, out_of_budget
-        if out_of_budget:
-            return False
-        trail: list[tuple[int, tuple[int, int]]] = []
+    def feasible(v: int, s: int) -> bool:
+        # One more slot raises the arc count by at most one.
+        return mac[v] < a or min_arc_cover(deg[v], committed[v] | {s}, m)[0] <= a
 
-        def do_assign(e, d):
-            assigned[e] = d
-            committed[d[0]].add(d[1])
-            trail.append((e, d))
+    def assign(e: int, d: tuple[int, int]) -> int:
+        v, s = d
+        trail.append((e, mac[v]))
+        assigned[e] = d
+        committed[v].add(s)
+        mac[v] = min_arc_cover(deg[v], committed[v], m)[0]
+        touch(v)
+        return v
 
-        def undo_all():
-            for e, (v, s) in reversed(trail):
-                committed[v].discard(s)
-                del assigned[e]
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e, old = trail.pop()
+            v, s = assigned.pop(e)
+            committed[v].discard(s)
+            mac[v] = old
+            touch(v)
 
-        # Unit propagation to fixpoint.
-        pending = list(undecided)
-        remaining = set(undecided)
-        changed = True
-        while changed:
-            changed = False
-            for e in list(remaining):
-                opts = viable(e)
-                if not opts:
-                    undo_all()
-                    return False
-                if len(opts) == 1:
-                    nodes += 1
-                    do_assign(e, opts[0])
-                    remaining.discard(e)
-                    changed = True
-            if nodes > budget:
-                out_of_budget = True
-                undo_all()
-                return False
-        if not remaining:
-            return True
-        # Branch on an edge at the most constrained vertex.
-        branch = min(
-            remaining,
-            key=lambda e: (
-                min(
-                    min_arc_cover(deg[v], committed[v], m)[0] * g.deg(v)
-                    - len(committed[v])
-                    for v, _ in options[e]
-                ),
-                e,
-            ),
-        )
-        rest = [e for e in remaining if e != branch]
-        for d in options[branch]:
-            if not feasible(*d):
+    def propagate(edges) -> bool:
+        """Propagate units from `edges`; False on a conflict or budget overrun."""
+        nonlocal nodes
+        queue = list(edges)
+        while queue:
+            e = queue.pop()
+            if e in assigned:
                 continue
+            opts = [d for d in options[e] if feasible(*d)]
+            if len(opts) > 1:
+                continue
+            if not opts:
+                return False
             nodes += 1
             if nodes > budget:
-                out_of_budget = True
-                break
-            assigned[branch] = d
-            committed[d[0]].add(d[1])
-            if search(rest):
-                return True
-            committed[d[0]].discard(d[1])
-            del assigned[branch]
-        undo_all()
-        return False
+                return False
+            queue.extend(incident[assign(e, opts[0])])
+        return True
 
-    ok = search(sorted(options))
+    # Frames [branch edge, next option, trail mark], each at a propagation
+    # fixpoint, so a branch at v only needs v's edges propagated.
+    stack: list[list[int]] = []
+    ok = propagate(options)
+    while True:
+        if ok:
+            # Branch at the most constrained vertex; compaction keeps the heap O(|E|).
+            if len(heap) > 4 * len(options):
+                heap[:] = [(key(e), e) for e in options if e not in assigned]
+                heapq.heapify(heap)
+            while heap and (heap[0][1] in assigned or heap[0][0] != key(heap[0][1])):
+                heapq.heappop(heap)
+            if not heap:
+                break
+            stack.append([heap[0][1], 0, len(trail)])
+        elif not stack or nodes > budget:
+            break
+        frame = stack[-1]
+        branch, i, mark = frame
+        undo(mark)
+        opts = options[branch]
+        while i < len(opts) and not feasible(*opts[i]):
+            i += 1
+        if i == len(opts):
+            stack.pop()
+            ok = False
+            continue
+        frame[1] = i + 1
+        nodes += 1
+        ok = nodes <= budget and propagate(incident[assign(branch, opts[i])])
+
     if ok:
         assert len(assigned) == len(options), (
             f"search succeeded with {len(options) - len(assigned)} edges"
@@ -195,7 +206,7 @@ def oracle_solve(
                 _, arcs = min_arc_cover(deg[v], committed[v], m)
                 angles.setdefault(v, []).extend(_arcs_to_angles(v, deg[v], arcs, m))
         return Certificate("YES", AngleAssignment.build(angles))
-    if out_of_budget:
+    if nodes > budget:
         return Certificate("INDETERMINATE")
     return Certificate("NO")
 
@@ -538,10 +549,11 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
 def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate:
     """Cover an outerplane graph by peeling an ear decomposition in reverse.
 
-    Repeatedly removes a vertex whose remaining edges number at most two
-    and sit on consecutive slots of its original rotation, assigning it
-    the angle over those slots.  Backtracks over peel choices and falls
-    back to the oracle if peeling fails outright.
+    Repeatedly removes the smallest vertex whose remaining edges number at
+    most two and sit on consecutive slots of its original rotation,
+    assigning it the angle over those slots.  Backtracks over peel choices
+    with an explicit stack and falls back to the oracle if peeling fails
+    outright.
     """
     faces = trace_faces(g)
     non_isolated = {v for v in g.vertices if g.deg(v) > 0}
@@ -577,33 +589,50 @@ def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate
             return Angle(v, s2, 2)
         return None
 
-    def peel() -> bool:
-        if not alive:
-            return True
-        candidates = sorted(
-            v for v in alive if not remaining[v] or ear_angle(v) is not None
-        )
-        for v in candidates:
-            ang = ear_angle(v)
-            removed = list(remaining[v])
-            alive.discard(v)
-            for e in removed:
-                for w in g.edges[e]:
-                    remaining[w].discard(e)
-            if ang is not None:
-                angles[v] = [ang]
-            if peel():
-                return True
-            if ang is not None:
-                del angles[v]
-            alive.add(v)
-            for e in removed:
-                for w in g.edges[e]:
-                    if w in alive or w == v:
-                        remaining[w].add(e)
-        return False
+    def candidate(v) -> bool:
+        return not remaining[v] or ear_angle(v) is not None
 
-    if peel():
+    def smallest() -> int | None:
+        while heap:
+            v = heapq.heappop(heap)
+            if v in alive and candidate(v):
+                return v
+        return None
+
+    # Every alive candidate has an entry in `heap`; stale ones are skipped.
+    heap = sorted(v for v in alive if candidate(v))
+    stack: list[tuple[int, Angle | None, list[int]]] = []
+    v = smallest()
+    while alive:
+        if v is None:
+            # Backtrack: undo the last peel and try the next larger
+            # candidate in the restored state.
+            if not stack:
+                break
+            u, ang, removed = stack.pop()
+            if ang is not None:
+                del angles[u]
+            alive.add(u)
+            heapq.heappush(heap, u)
+            for e in removed:
+                for w in g.edges[e]:
+                    remaining[w].add(e)
+                    heapq.heappush(heap, w)
+            v = min((w for w in alive if w > u and candidate(w)), default=None)
+            continue
+        ang = ear_angle(v)
+        removed = list(remaining[v])
+        alive.discard(v)
+        for e in removed:
+            for w in g.edges[e]:
+                remaining[w].discard(e)
+                heapq.heappush(heap, w)
+        if ang is not None:
+            angles[v] = [ang]
+        stack.append((v, ang, removed))
+        v = smallest()
+
+    if not alive:
         return Certificate("YES", AngleAssignment.build(angles))
     return oracle_solve(g, BASIC_SPEC, budget)
 

@@ -210,3 +210,38 @@ def test_cli_rejects_topological_input_to_solve(tmp_path):
     f = write(tmp_path, "t.inst", text)
     assert main(["solve", f]) == 2
     assert main(["planarize", f]) == 0
+
+
+def test_cli_internal_error_exits_4_with_one_line(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver fault\nsecond line")
+
+    monkeypatch.setattr("anglecover.cli.oracle_solve", broken)
+    assert main(["solve", "--algo", "oracle", inst_file(tmp_path, "fig1")]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: solver fault second line\n"
+
+
+@pytest.mark.parametrize(
+    "gen, algo",
+    [
+        (["regular", "-n", "1000", "--degree", "3"], "oracle"),
+        (["outerplane", "-n", "1500"], "outerplane"),
+    ],
+)
+def test_cli_solve_large_search_inputs(tmp_path, capsys, gen, algo):
+    # Both searches once recursed per step and died at the default
+    # recursion limit; the CLI then exited 1, which reads as NO.
+    assert main(["gen", *gen, "--seed", "5"]) == 0
+    f = write(tmp_path, "big.inst", capsys.readouterr().out)
+    src = os.path.dirname(os.path.dirname(anglecover.__file__))
+    cmd = ["solve", "--algo", algo, "--verify", f]
+    proc = subprocess.run(
+        [sys.executable, "-m", "anglecover.cli", *cmd],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("angle ")

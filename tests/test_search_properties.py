@@ -1,0 +1,48 @@
+"""Property tests for the two searches: the oracle against two independent
+exhaustive searches, and the outerplane peel against the oracle."""
+
+from hypothesis import given, settings, strategies as st
+
+from anglecover.core import BASIC_SPEC, CoverSpec, RotationGraph, check_cover
+from anglecover.instances import gen_random_outerplane
+from anglecover.reduce import max_coverage
+from anglecover.solve import oracle_solve, solve_outerplane
+from conftest import naive_cover_search
+
+
+@st.composite
+def rotation_graphs(draw, max_vertices=6, max_edges=9):
+    """Multigraphs with loops and an arbitrary rotation at every vertex."""
+    n = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    edges = dict(enumerate(pairs))
+    incident = {v: [] for v in range(n)}
+    for e, (u, v) in edges.items():
+        incident[u].append(e)
+        incident[v].append(e)  # a loop occupies two slots at u
+    rotation = {v: draw(st.permutations(darts)) for v, darts in incident.items()}
+    return RotationGraph.build(range(n), edges, rotation)
+
+
+specs = st.builds(CoverSpec, st.integers(1, 3), st.integers(2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_graphs(), specs)
+def test_oracle_agrees_with_exhaustive_searches(g, spec):
+    cert = oracle_solve(g, spec)
+    assert cert.verdict == naive_cover_search(g, spec)
+    assert cert.is_yes == (max_coverage(g, spec)[0] == len(g.edges))
+    if cert.is_yes:
+        assert check_cover(g, cert.assignment, spec).valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1))
+def test_outerplane_peel_agrees_with_oracle(n, seed):
+    g = gen_random_outerplane(n, seed)
+    cert = solve_outerplane(g)
+    assert cert.verdict == oracle_solve(g).verdict
+    if cert.is_yes:
+        assert check_cover(g, cert.assignment, BASIC_SPEC).valid

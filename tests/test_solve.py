@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from anglecover.instances import (
     gen_regular,
     get_instance,
 )
+from anglecover.reduce import reduce_2angle_deg8
 from anglecover.solve import (
     min_allocation_bruteforce,
     min_arc_cover,
@@ -20,6 +22,7 @@ from anglecover.solve import (
     solve_sextet,
 )
 from conftest import (
+    complete_graph,
     complete_rotation_graph,
     naive_cover_search,
     random_fixed_degree_graph,
@@ -82,6 +85,33 @@ def test_oracle_on_figure_corpus():
 def test_oracle_budget_indeterminate():
     g = complete_rotation_graph(8)
     assert oracle_solve(g, BASIC_SPEC, budget=1).verdict == "INDETERMINATE"
+
+
+def test_oracle_budget_bounds_an_undecided_search():
+    # The degree-8 reduction of K3 is YES, but the oracle cannot decide it
+    # in reasonable time; a small budget must stop it with INDETERMINATE.
+    h = reduce_2angle_deg8(complete_graph(3))
+    t0 = time.perf_counter()
+    cert = oracle_solve(h, CoverSpec(2, 2), budget=5000)
+    assert cert.verdict == "INDETERMINATE"
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_regular3_n1000(seed):
+    # Runs at the default recursion limit: the search is a loop.
+    g = gen_regular(1000, 3, seed)
+    cert = oracle_solve(g)
+    assert cert.is_yes
+    assert check_cover(g, cert.assignment, BASIC_SPEC).valid
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_outerplane_n1500(seed):
+    g = gen_random_outerplane(1500, seed)
+    cert = solve_outerplane(g)
+    assert cert.is_yes
+    assert check_cover(g, cert.assignment, BASIC_SPEC).valid
 
 
 def test_oracle_forced_flips_verdict():
