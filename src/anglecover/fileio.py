@@ -63,13 +63,14 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(str(exc)) from exc
-    for v in sorted(vertices):
-        if v not in rotation:
-            slots = []
-            for e in sorted(edges):
-                p, q = edges[e]
-                slots += [e] * ((p == v) + (q == v))
-            rotation[v] = tuple(slots)
+    missing = sorted(vertices - rotation.keys())
+    if missing:
+        default: dict[int, list[int]] = {v: [] for v in missing}
+        for e in sorted(edges):
+            for w in edges[e]:  # a loop lands twice in a row
+                if w in default:
+                    default[w].append(e)
+        rotation.update((v, tuple(slots)) for v, slots in default.items())
     g = RotationGraph.build(sorted(vertices), edges, rotation)
     if crossings or sequences:
         tg = TopologicalGraph(g, crossings, sequences)

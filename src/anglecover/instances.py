@@ -528,7 +528,7 @@ def gen_henneberg_laman(steps: list[tuple], seed) -> RotationGraph:
                 raise ValueError(f"invalid S2 step {step!r}: no edge {e}")
             x, y = edges.pop(e)
             if w is None:
-                w = min(z for z in range(n) if z not in (x, y))
+                w = min(z for z in range(min(n, 3)) if z not in (x, y))
             if not (0 <= w < n) or w in (x, y):
                 raise ValueError(f"invalid S2 step {step!r}")
             edges[next_edge] = (x, n)
@@ -538,13 +538,7 @@ def gen_henneberg_laman(steps: list[tuple], seed) -> RotationGraph:
         else:
             raise ValueError(f"unknown step kind {step[0]!r}")
         n += 1
-    incident: dict[int, list[int]] = {v: [] for v in range(n)}
-    for e, (u, v) in sorted(edges.items()):
-        incident[u].append(e)
-        incident[v].append(e)
-    for slots in incident.values():
-        rng.shuffle(slots)
-    return RotationGraph.build(range(n), edges, incident)
+    return RotationGraph.build(range(n), edges, _random_rotations(edges, n, rng))
 
 
 def gen_random_outerplane(n: int, seed) -> RotationGraph:

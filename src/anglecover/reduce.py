@@ -394,61 +394,68 @@ def max_coverage(
     verts = sorted(g.vertices)
     pos = {v: i for i, v in enumerate(verts)}
     options = {v: _coverage_options(g, v, spec) for v in verts}
-    # Each edge is decided once its later endpoint has chosen.
-    decide_at: dict[int, list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]]
-    decide_at = {i: [] for i in range(len(verts))}
+    # Each edge is decided once its later endpoint has chosen; the earlier
+    # endpoint is kept as its level.
+    decide_at: list[list[tuple[tuple[int, ...], int, tuple[int, ...]]]]
+    decide_at = [[] for _ in verts]
     for e, (u, v) in g.edges.items():
         later, earlier = (u, v) if pos[u] >= pos[v] else (v, u)
         ends = g.ends(e)
         decide_at[pos[later]].append(
             (
-                e,
                 tuple(s for w, s in ends if w == later),
-                earlier,
+                pos[earlier],
                 tuple(s for w, s in ends if w == earlier),
             )
         )
-    remaining = [0] * (len(verts) + 1)
-    for i in range(len(verts) - 1, -1, -1):
+    n = len(verts)
+    remaining = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         remaining[i] = remaining[i + 1] + len(decide_at[i])
 
     best = -1
-    best_choice: dict[int, tuple[int, ...]] = {}
-    choice: dict[int, frozenset] = {}
-    starts_of: dict[int, tuple[int, ...]] = {}
+    best_starts: list[tuple[int, ...]] = []
+    choice: list[frozenset] = [frozenset()] * n
+    starts_of: list[tuple[int, ...]] = [()] * n
+    covered = [0] * (n + 1)  # edges covered by the choices above level i
+    tried = [0] * n  # options of level i tried so far
+    # Depth-first over levels as a loop: the option order and the bound
+    # are those of a recursive search, without its depth limit.
+    i, entering = 0, True
+    while i >= 0:
+        if entering:
+            if covered[i] + remaining[i] <= best:
+                i, entering = i - 1, False
+                continue
+            if i == n:
+                best, best_starts = covered[i], starts_of[:]
+                i, entering = i - 1, False
+                continue
+            tried[i] = 0
+        opts = options[verts[i]]
+        if tried[i] == len(opts):
+            i, entering = i - 1, False
+            continue
+        opt, starts = opts[tried[i]]
+        tried[i] += 1
+        gained = 0
+        for slots_here, j, slots_other in decide_at[i]:
+            if any(s in opt for s in slots_here):
+                gained += 1
+            elif j != i and any(s in choice[j] for s in slots_other):
+                gained += 1
+        choice[i] = opt
+        starts_of[i] = starts
+        covered[i + 1] = covered[i] + gained
+        i, entering = i + 1, True
 
-    def search(i: int, covered: int):
-        nonlocal best, best_choice
-        if covered + remaining[i] <= best:
-            return
-        if i == len(verts):
-            best = covered
-            best_choice = dict(starts_of)
-            return
-        v = verts[i]
-        for opt, starts in options[v]:
-            gained = 0
-            for e, slots_here, other, slots_other in decide_at[i]:
-                if any(s in opt for s in slots_here):
-                    gained += 1
-                elif other != v and any(
-                    s in choice[other] for s in slots_other
-                ):
-                    gained += 1
-            choice[v] = opt
-            starts_of[v] = starts
-            search(i + 1, covered + gained)
-        del choice[v]
-        del starts_of[v]
-
-    search(0, 0)
     angles: dict[int, list[Angle]] = {}
-    for v in verts:
+    for v, starts in zip(verts, best_starts):
         d = g.deg(v)
         if d == 0:
             continue
         w = min(spec.m, d)
-        angles[v] = [Angle(v, s, w) for s in best_choice[v]]
+        angles[v] = [Angle(v, s, w) for s in starts]
     asg = AngleAssignment.build(angles)
     return best, asg
 

@@ -2,8 +2,9 @@
 
 Contains the exact backtracking oracle, the linear-time max-degree-4
 solver, the 2-SAT solver for graphs without degree-3 vertices, the
-sextet-based solver for even maximum degree, the outerplane ear solver,
-and a brute-force minimum-allocation search used as a testing oracle.
+sextet-based solver for even maximum degree, the outerplane entry point
+(an embedding check in front of the oracle), and a brute-force
+minimum-allocation search used as a testing oracle.
 """
 
 from __future__ import annotations
@@ -547,13 +548,10 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
 
 
 def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate:
-    """Cover an outerplane graph by peeling an ear decomposition in reverse.
+    """Decide an outerplane graph with the exact oracle.
 
-    Repeatedly removes the smallest vertex whose remaining edges number at
-    most two and sit on consecutive slots of its original rotation,
-    assigning it the angle over those slots.  Backtracks over peel choices
-    with an explicit stack and falls back to the oracle if peeling fails
-    outright.
+    Checks the embedding first: it must be plane, with one face holding
+    every non-isolated vertex; otherwise UnsupportedInputError.
     """
     faces = trace_faces(g)
     non_isolated = {v for v in g.vertices if g.deg(v) > 0}
@@ -562,78 +560,6 @@ def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate
     ) or not non_isolated
     if not faces.is_plane or not on_one_face:
         raise UnsupportedInputError("input is not outerplane")
-    if g.has_loops():
-        return oracle_solve(g, BASIC_SPEC, budget)
-
-    remaining: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for e, (u, v) in g.edges.items():
-        remaining[u].add(e)
-        remaining[v].add(e)
-    angles: dict[int, list[Angle]] = {}
-    alive = set(g.vertices)
-
-    def ear_angle(v) -> Angle | None:
-        """The angle over v's remaining edges, if they number one or two
-        and sit on consecutive slots; None otherwise."""
-        edges = remaining[v]
-        d = g.deg(v)
-        if not 0 < len(edges) <= 2:
-            return None
-        slots = sorted(s for e in edges for w, s in g.ends(e) if w == v)
-        if len(slots) == 1:
-            return Angle(v, slots[0], min(2, d))
-        s1, s2 = slots
-        if (s1 + 1) % d == s2:
-            return Angle(v, s1, 2)
-        if (s2 + 1) % d == s1:
-            return Angle(v, s2, 2)
-        return None
-
-    def candidate(v) -> bool:
-        return not remaining[v] or ear_angle(v) is not None
-
-    def smallest() -> int | None:
-        while heap:
-            v = heapq.heappop(heap)
-            if v in alive and candidate(v):
-                return v
-        return None
-
-    # Every alive candidate has an entry in `heap`; stale ones are skipped.
-    heap = sorted(v for v in alive if candidate(v))
-    stack: list[tuple[int, Angle | None, list[int]]] = []
-    v = smallest()
-    while alive:
-        if v is None:
-            # Backtrack: undo the last peel and try the next larger
-            # candidate in the restored state.
-            if not stack:
-                break
-            u, ang, removed = stack.pop()
-            if ang is not None:
-                del angles[u]
-            alive.add(u)
-            heapq.heappush(heap, u)
-            for e in removed:
-                for w in g.edges[e]:
-                    remaining[w].add(e)
-                    heapq.heappush(heap, w)
-            v = min((w for w in alive if w > u and candidate(w)), default=None)
-            continue
-        ang = ear_angle(v)
-        removed = list(remaining[v])
-        alive.discard(v)
-        for e in removed:
-            for w in g.edges[e]:
-                remaining[w].discard(e)
-                heapq.heappush(heap, w)
-        if ang is not None:
-            angles[v] = [ang]
-        stack.append((v, ang, removed))
-        v = smallest()
-
-    if not alive:
-        return Certificate("YES", AngleAssignment.build(angles))
     return oracle_solve(g, BASIC_SPEC, budget)
 
 

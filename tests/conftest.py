@@ -35,8 +35,13 @@ def complete_graph(n):
     return multigraph(n, list(itertools.combinations(range(n), 2)))
 
 
-def complete_rotation_graph(n):
-    return rotation_graph(list(itertools.combinations(range(n), 2)))
+def complete_rotation_graph(n, rotations=None):
+    return rotation_graph(list(itertools.combinations(range(n), 2)), rotations)
+
+
+# K4 drawn with vertex 3 inside the triangle 0, 1, 2: plane, but no face
+# holds all four vertices.  (The default rotation of K4 is not plane.)
+K4_PLANE_ROTATION = {0: (0, 1, 2), 1: (4, 3, 0), 2: (1, 3, 5), 3: (5, 4, 2)}
 
 
 def random_rotation_graph(rng, n_max=6, e_max=8, loops=False):

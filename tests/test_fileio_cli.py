@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import anglecover
 from anglecover.cli import main
-from anglecover.core import Angle, AngleAssignment
+from anglecover.core import Angle, AngleAssignment, RotationGraph, validate_graph
 from anglecover.fileio import (
     FormatError,
     parse_cover,
@@ -16,7 +17,7 @@ from anglecover.fileio import (
 )
 from anglecover.instances import get_instance, instance_names
 from anglecover.transform import TopologicalGraph
-from conftest import rotation_graph
+from conftest import K4_PLANE_ROTATION, complete_rotation_graph, rotation_graph
 
 
 def test_instance_round_trip_is_identity():
@@ -29,6 +30,16 @@ def test_parse_defaults_rotation():
     g = parse_instance("e 0 0 1\ne 1 1 2\ne 2 0 0\n")
     assert g.rotation[0] == (0, 2, 2)
     assert g.rotation[1] == (0, 1)
+
+
+def test_parse_default_rotations_in_linear_time():
+    # A scan of every edge per vertex took tens of seconds here.
+    n = 20_000
+    text = "".join(f"e {i} {i} {(i + 1) % n}\n" for i in range(n))
+    start = time.perf_counter()
+    g = parse_instance(text)
+    assert time.perf_counter() - start < 5.0
+    assert g.rotation[0] == (0, n - 1) and g.rotation[1] == (0, 1)
 
 
 def test_parse_comments_and_blank_lines():
@@ -187,6 +198,29 @@ def test_cli_reduce_and_resolve(tmp_path, capsys):
     assert main(["solve", reduced]) == 0
 
 
+def test_cli_reduce_witness_with_long_path(tmp_path, capsys):
+    # fig2a plus a disjoint 1100-vertex path is still a witness; the
+    # maximum-coverage search once recursed per vertex and hit the limit.
+    w = get_instance("fig2a").graph
+    edges, rotation = dict(w.edges), {v: list(r) for v, r in w.rotation.items()}
+    path = range(max(w.vertices) + 1, max(w.vertices) + 1101)
+    for v in path:
+        rotation[v] = []
+    for e, u in enumerate(path[:-1], start=max(edges) + 1):
+        edges[e] = (u, u + 1)
+        rotation[u].append(e)
+        rotation[u + 1].append(e)
+    witness = RotationGraph.build([*w.vertices, *path], edges, rotation)
+    wf = write(tmp_path, "w.inst", serialize_instance(witness))
+    tri = write(
+        tmp_path,
+        "tri.inst",
+        serialize_instance(rotation_graph([(0, 1), (1, 2), (2, 0)])),
+    )
+    assert main(["reduce", "witness", "--angles", "1", "--witness", wf, tri]) == 0
+    assert validate_graph(parse_instance(capsys.readouterr().out)) == []
+
+
 def test_cli_gen_pipes_into_solve(tmp_path, capsys):
     assert main(["gen", "laman", "--steps", "5", "--seed", "3"]) == 0
     f = write(tmp_path, "g.inst", capsys.readouterr().out)
@@ -210,6 +244,17 @@ def test_cli_rejects_topological_input_to_solve(tmp_path):
     f = write(tmp_path, "t.inst", text)
     assert main(["solve", f]) == 2
     assert main(["planarize", f]) == 0
+
+
+@pytest.mark.parametrize(
+    "rotation", [K4_PLANE_ROTATION, None], ids=["plane", "nonplane"]
+)
+def test_cli_solve_outerplane_rejects_k4(tmp_path, capsys, rotation):
+    g = complete_rotation_graph(4, rotation)
+    f = write(tmp_path, "k4.inst", serialize_instance(g))
+    assert main(["solve", "--algo", "outerplane", f]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_cli_internal_error_exits_4_with_one_line(tmp_path, monkeypatch, capsys):

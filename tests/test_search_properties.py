@@ -1,12 +1,11 @@
-"""Property tests for the two searches: the oracle against two independent
-exhaustive searches, and the outerplane peel against the oracle."""
+"""Property tests for the oracle against two independent exhaustive
+searches."""
 
 from hypothesis import given, settings, strategies as st
 
-from anglecover.core import BASIC_SPEC, CoverSpec, RotationGraph, check_cover
-from anglecover.instances import gen_random_outerplane
+from anglecover.core import CoverSpec, RotationGraph, check_cover
 from anglecover.reduce import max_coverage
-from anglecover.solve import oracle_solve, solve_outerplane
+from anglecover.solve import oracle_solve
 from conftest import naive_cover_search
 
 
@@ -37,12 +36,3 @@ def test_oracle_agrees_with_exhaustive_searches(g, spec):
     if cert.is_yes:
         assert check_cover(g, cert.assignment, spec).valid
 
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(3, 12), st.integers(0, 2**32 - 1))
-def test_outerplane_peel_agrees_with_oracle(n, seed):
-    g = gen_random_outerplane(n, seed)
-    cert = solve_outerplane(g)
-    assert cert.verdict == oracle_solve(g).verdict
-    if cert.is_yes:
-        assert check_cover(g, cert.assignment, BASIC_SPEC).valid
