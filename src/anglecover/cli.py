@@ -109,9 +109,10 @@ def _cmd_solve(args) -> int:
         cert = solve_no_deg3(g)
         spec = CoverSpec(1, 2)
     elif algo == "sextet":
-        delta = g.max_degree()
+        top = g.max_degree()
+        delta = max(2, top + top % 2)  # the smallest valid even delta
         cert = solve_sextet(g, delta)
-        spec = CoverSpec(max(1, delta // 2 - delta // 6), 2)
+        spec = CoverSpec(delta // 2 - delta // 6, 2)
     else:  # outerplane
         cert = solve_outerplane(g, budget=args.budget)
         spec = CoverSpec(1, 2)

@@ -429,12 +429,9 @@ def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
     capacity = [dmax] * n
     edges: dict[int, tuple[int, int]] = {}
     open_slots: list[int] = [0] if dmax > 0 else []
+    # open_slots holds exactly the vertices with spare capacity.
     for v in range(1, n):
-        while True:
-            u = open_slots[rng.randrange(len(open_slots))]
-            if capacity[u] > 0:
-                break
-            open_slots.remove(u)
+        u = open_slots[rng.randrange(len(open_slots))]
         edges[len(edges)] = (u, v)
         capacity[u] -= 1
         capacity[v] -= 1
@@ -443,21 +440,23 @@ def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
         if capacity[v] > 0:
             open_slots.append(v)
     for _ in range(rng.randrange(0, max(2, n))):
-        avail = [v for v in open_slots if capacity[v] > 0]
-        if len(avail) < 1:
+        if not open_slots:
             break
-        u = rng.choice(avail)
+        i = rng.randrange(len(open_slots))
+        u = open_slots[i]
         if capacity[u] >= 2 and rng.random() < 0.1:
             v = u  # occasional self-loop
         else:
-            others = [w for w in avail if w != u]
-            if not others:
+            if len(open_slots) == 1:
                 continue
-            v = rng.choice(others)
+            j = rng.randrange(len(open_slots) - 1)
+            v = open_slots[j + (j >= i)]  # any open vertex but u
         edges[len(edges)] = (u, v)
         capacity[u] -= 1
         capacity[v] -= 1
-        open_slots = [w for w in open_slots if capacity[w] > 0]
+        for w in {u, v}:
+            if capacity[w] == 0:
+                open_slots.remove(w)
     return RotationGraph.build(range(n), edges, _random_rotations(edges, n, rng))
 
 

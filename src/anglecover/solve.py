@@ -4,7 +4,9 @@ Contains the exact backtracking oracle, the linear-time max-degree-4
 solver, the 2-SAT solver for graphs without degree-3 vertices, the
 sextet-based solver for even maximum degree, the outerplane entry point
 (an embedding check in front of the oracle), and a brute-force
-minimum-allocation search used as a testing oracle.
+minimum-allocation search used as a testing oracle.  The max-degree-4
+and sextet solvers are one closed walk with a fixed slot pairing
+(`_walk_cover`); they differ only in the pairing.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .core import (
     CoverSpec,
     RotationGraph,
     UnsupportedInputError,
-    components,
     trace_faces,
 )
 
@@ -36,25 +37,26 @@ def min_arc_cover(deg: int, slots, m: int) -> tuple[int, list[int]]:
     pts = sorted(set(slots))
     if not pts:
         return 0, []
-    if any(not 0 <= s < deg for s in pts):
+    if pts[0] < 0 or pts[-1] >= deg:
         raise ValueError("slot out of range")
     w = min(m, deg)
     if w >= deg or len(pts) == 1:
         return 1, [pts[0]]
+    lower = -(-len(pts) // w)  # an arc covers at most w slots
     best = None
-    for first in pts:
-        # Sweep the points in cyclic order from `first` so offsets are
+    for i, first in enumerate(pts):
+        # Sweep the offsets in cyclic order from `first` so they are
         # monotone; sorted order would process wrapped points too early.
-        ordered = [q for q in pts if q >= first] + [q for q in pts if q < first]
         arcs = [first]
         limit = first + w - 1
-        for q in ordered:
-            off = q if q >= first else q + deg
+        for off in pts[i:] + [q + deg for q in pts[:i]]:
             if off > limit:
-                arcs.append(q)
+                arcs.append(off % deg)
                 limit = off + w - 1
         if best is None or len(arcs) < len(best):
             best = arcs
+            if len(best) == lower:
+                break
     return len(best), best
 
 
@@ -213,83 +215,59 @@ def oracle_solve(
 
 
 # ---------------------------------------------------------------------------
-# Regularisation helpers shared by the traversal solvers.
+# The traversal solvers: one closed walk with a fixed slot pairing.
 
 
 def _regularize(g: RotationGraph, target: int) -> RotationGraph:
-    """Pad every vertex to degree `target` with dummy edges.
+    """Pad every vertex to degree `target` (even) with dummy edges.
 
-    Per connected component, vertices of deficient degree are paired
-    greedily by lowest id; a single leftover vertex receives self-loops.
-    Dummy slots are appended at the end of each rotation so original
-    cyclic adjacencies survive projection.  Every vertex of the padded
-    graph has degree `target`, so its slot s at the vertex of rank i is
-    dart target * i + s.
+    Deficient vertices are paired greedily by lowest id over the whole
+    graph; a single leftover vertex receives self-loops, which is always
+    possible because the total deficit target * n - 2|E| is even.  Dummy
+    slots are appended at the end of each rotation so original cyclic
+    adjacencies survive projection.  Every vertex of the padded graph has
+    degree `target`, so its slot s at the vertex of rank i is dart
+    target * i + s.
     """
     rot = {v: list(g.rotation.get(v, ())) for v in g.vertices}
     edges = dict(g.edges)
     next_edge = max(g.edges, default=-1) + 1
-
-    root = components(g)
-    comps: dict[int, list[int]] = {}
+    # u is the lowest-id vertex still deficient; it pairs with each later
+    # deficient vertex in id order until one of them is full.
+    u = None
     for v in sorted(g.vertices):
-        comps.setdefault(root[v], []).append(v)
-
-    for members in comps.values():
-        # u is the lowest-id vertex still deficient; it pairs with each
-        # later deficient vertex in id order until one of them is full.
-        u = None
-        for v in members:
-            while len(rot[v]) < target:
-                if u is None:
-                    u = v
-                    break
-                rot[u].append(next_edge)
-                rot[v].append(next_edge)
-                edges[next_edge] = (u, v)
-                next_edge += 1
-                if len(rot[u]) == target:
-                    u = None
-        if u is not None:
-            need = target - len(rot[u])
-            assert need % 2 == 0, "component degree parity broken"
-            for _ in range(need // 2):
-                rot[u].extend([next_edge, next_edge])
-                edges[next_edge] = (u, u)
-                next_edge += 1
+        while len(rot[v]) < target:
+            if u is None:
+                u = v
+                break
+            rot[u].append(next_edge)
+            rot[v].append(next_edge)
+            edges[next_edge] = (u, v)
+            next_edge += 1
+            if len(rot[u]) == target:
+                u = None
+    if u is not None:
+        need = target - len(rot[u])
+        assert need % 2 == 0, "degree parity broken"
+        for _ in range(need // 2):
+            rot[u].extend([next_edge, next_edge])
+            edges[next_edge] = (u, u)
+            next_edge += 1
     return RotationGraph(g.vertices, edges, {v: tuple(r) for v, r in rot.items()})
 
 
-def _project_groups(
-    v: int, groups: list[list[int]], orig_deg: int, m: int
-) -> list[Angle]:
-    """Map slot groups of the padded graph back to original angles.
+def _walk_cover(g: RotationGraph, delta: int, partner, a: int) -> Certificate:
+    """Cover g with at most `a` angles per vertex from one slot-pairing walk.
 
-    Dummy slots sit past the original degree, so surviving slots keep
-    their indices and stay cyclically adjacent.
+    Pads g to a delta-regular multigraph and partitions its darts into
+    closed walks that, entering a vertex on slot s, leave it on slot
+    partner[s] (a fixed transition system).  Each pair {s, partner[s]}
+    therefore holds one outgoing slot per vertex, and the outgoing slots
+    below the vertex's own degree get a minimum arc cover of width 2.
+    No walk uses an edge in both directions: such a walk would be its own
+    reverse, which needs a slot that is its own partner.
     """
-    angles = []
-    for group in groups:
-        # Keep the group's cyclic order: for a wrap pair like (3, 0) the
-        # angle must start at the first member, not the smallest.
-        survivors = [s for s in group if s < orig_deg]
-        if not survivors:
-            continue
-        start = survivors[0]
-        angles.append(Angle(v, start, min(m, orig_deg)))
-    return angles
-
-
-def solve_deg4(g: RotationGraph) -> Certificate:
-    """Linear-time cover for maximum degree 4 (always YES).
-
-    Pads to a 4-regular multigraph, partitions darts into closed walks
-    that exit each vertex on the slot opposite the entry slot, and covers
-    each vertex's two (always consecutive) outgoing slots with one angle.
-    """
-    if g.max_degree() > 4:
-        raise UnsupportedInputError("solve_deg4 requires maximum degree <= 4")
-    twin = _regularize(g, 4).dart_index.twin
+    twin = _regularize(g, delta).dart_index.twin
     # 0: edge not yet walked; 1: walked out of this dart; 2: walked into it.
     used = bytearray(len(twin))
     for d0 in range(len(twin)):
@@ -300,7 +278,8 @@ def solve_deg4(g: RotationGraph) -> Certificate:
             used[d] = 1
             t = twin[d]
             used[t] = 2
-            nxt = t ^ 2  # the slot opposite t, since every degree is 4
+            s = t % delta
+            nxt = t - s + partner[s]
             if used[nxt]:
                 assert nxt == d0, "walk hit a directed edge before closing"
                 break
@@ -308,132 +287,51 @@ def solve_deg4(g: RotationGraph) -> Certificate:
 
     angles: dict[int, list[Angle]] = {}
     for i, v in enumerate(sorted(g.vertices)):
-        outs = [s for s in range(4) if used[4 * i + s] == 1]
-        assert len(outs) == 2
-        s1, s2 = outs
-        assert (s2 - s1) % 4 in (1, 3), "outgoing slots not consecutive"
-        if (s1 + 1) % 4 != s2:
-            s1, s2 = s2, s1  # wrap pair (3, 0)
-        projected = _project_groups(v, [[s1, s2]], g.deg(v), 2)
-        if projected:
-            angles[v] = projected
+        deg = g.deg(v)
+        outs = [s for s in range(deg) if used[delta * i + s] == 1]
+        count, arcs = min_arc_cover(deg, outs, 2)
+        assert count <= a, "angle budget exceeded"
+        angles[v] = _arcs_to_angles(v, deg, arcs, 2)
     return Certificate("YES", AngleAssignment.build(angles))
+
+
+def solve_deg4(g: RotationGraph) -> Certificate:
+    """Linear-time cover for maximum degree 4 (always YES).
+
+    The walk leaves each vertex on the slot opposite its entry slot, so
+    of the pairs {0, 2} and {1, 3} each vertex has one outgoing slot in
+    each: two cyclically consecutive slots, covered by one angle.
+    """
+    if g.max_degree() > 4:
+        raise UnsupportedInputError("solve_deg4 requires maximum degree <= 4")
+    return _walk_cover(g, 4, (2, 3, 0, 1), 1)
+
+
+_SEXTET_PARTNER = (2, 4, 0, 5, 1, 3)
 
 
 def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
     """a-angle cover for even maximum degree `delta`, a = delta/2 - delta//6.
 
-    Pads to a delta-regular multigraph and routes closed walks so that
-    each block of six consecutive slots (a sextet) ends up with two
-    adjacent outgoing slots sharing one angle; every other outgoing slot
-    gets a single-edge angle.
+    The walk pairs the slots of each block of six consecutive slots (a
+    sextet) as 0-2, 1-4, 3-5, and the slots after the last sextet as
+    6k+2j with 6k+2j+1.  A sextet's three outgoing slots include two
+    adjacent ones, so it takes at most two angles, and every remaining
+    pair takes one.
     """
     if delta <= 0 or delta % 2:
         raise UnsupportedInputError("delta must be a positive even integer")
     if g.max_degree() > delta:
         raise UnsupportedInputError(f"graph has degree above {delta}")
-    a_target = delta // 2 - delta // 6
     k = delta // 6
-    ix = _regularize(g, delta).dart_index
-    used = bytearray(len(ix.twin))  # darts whose edge has been walked
-    # Per (vertex, sextet): outgoing slot offsets (0..5), first two adjacent.
-    sextet_out: dict[int, list[list[int]]] = {v: [[] for _ in range(k)] for v in g.vertices}
-    leftover_out: dict[int, list[int]] = {v: [] for v in g.vertices}
-
-    def undirected(v, s):
-        return not used[ix.first[v] + s]
-
-    def spill_exit(v):
-        for s in range(6 * k, delta):
-            if undirected(v, s):
-                return s
-        for sx in range(k):
-            outs = sextet_out[v][sx]
-            if len(outs) == 1:
-                q = outs[0]
-                for nb in (q - 1, q + 1):
-                    if 0 <= nb < 6 and undirected(v, 6 * sx + nb):
-                        return 6 * sx + nb
-        for sx in range(k):
-            if len(sextet_out[v][sx]) >= 2:
-                for off in range(6):
-                    if undirected(v, 6 * sx + off):
-                        return 6 * sx + off
-        for sx in range(k):
-            if not sextet_out[v][sx]:
-                for off in range(1, 5):
-                    if (
-                        undirected(v, 6 * sx + off)
-                        and undirected(v, 6 * sx + off - 1)
-                        and undirected(v, 6 * sx + off + 1)
-                    ):
-                        return 6 * sx + off
-        raise AssertionError("no undirected slot available for exit")
-
-    def choose_exit(v, entry_slot):
-        if entry_slot is not None and entry_slot < 6 * k:
-            sx, p = divmod(entry_slot, 6)
-            outs = sextet_out[v][sx]
-            if not outs:
-                q = p + 2 if p <= 2 else p - 2
-                assert undirected(v, 6 * sx + q - 1) and undirected(v, 6 * sx + q + 1)
-                return 6 * sx + q
-            if len(outs) == 1:
-                q = outs[0]
-                for nb in (q - 1, q + 1):
-                    if 0 <= nb < 6 and undirected(v, 6 * sx + nb):
-                        return 6 * sx + nb
-                raise AssertionError("second sextet exit has no adjacent slot")
-        return spill_exit(v)
-
-    def record_out(v, s):
-        if s < 6 * k:
-            sextet_out[v][s // 6].append(s % 6)
-        else:
-            leftover_out[v].append(s)
-
-    for d0 in range(len(ix.twin)):
-        if used[d0]:
-            continue
-        start = v = ix.vertex[d0]
-        s = choose_exit(v, None)
-        while True:
-            d = ix.first[v] + s
-            t = ix.twin[d]
-            used[d] = used[t] = 1
-            record_out(v, s)
-            v = ix.vertex[t]
-            if all(used[ix.first[v] : ix.first[v] + delta]):
-                assert v == start, "walk stuck away from its start vertex"
-                break
-            s = choose_exit(v, ix.slot(t))
-
-    angles: dict[int, list[Angle]] = {}
-    for v in sorted(g.vertices):
-        groups: list[list[int]] = []
-        for sx in range(k):
-            outs = sorted(sextet_out[v][sx])
-            assert len(outs) >= 2, "sextet finished with fewer than two exits"
-            pair = None
-            for i in range(len(outs) - 1):
-                if outs[i + 1] == outs[i] + 1:
-                    pair = (outs[i], outs[i + 1])
-                    break
-            assert pair is not None, "sextet has no adjacent outgoing pair"
-            groups.append([6 * sx + pair[0], 6 * sx + pair[1]])
-            for q in outs:
-                if q not in pair:
-                    groups.append([6 * sx + q])
-        for s in sorted(leftover_out[v]):
-            groups.append([s])
-        assert len(groups) <= a_target, "angle budget exceeded"
-        projected = _project_groups(v, groups, g.deg(v), 2)
-        if projected:
-            angles[v] = projected
-    return Certificate("YES", AngleAssignment.build(angles))
+    partner = [
+        s - s % 6 + _SEXTET_PARTNER[s % 6] if s < 6 * k else s ^ 1
+        for s in range(delta)
+    ]
+    return _walk_cover(g, delta, partner, delta // 2 - k)
 
 
-def solve_no_deg3(g: RotationGraph, budget: int | None = None) -> Certificate:
+def solve_no_deg3(g: RotationGraph) -> Certificate:
     """2-SAT decision for graphs with no degree-3 vertex.
 
     One variable per slot of each vertex of degree >= 4 ("this slot is

@@ -27,6 +27,20 @@ def rotation_graph(edge_pairs, rotations=None, n=None):
     return RotationGraph.build(range(n), edges, rotations)
 
 
+def disjoint_union(g, h):
+    """g and a copy of h whose vertex and edge ids follow g's."""
+    voff = max(g.vertices, default=-1) + 1
+    eoff = max(g.edges, default=-1) + 1
+    edges = dict(g.edges)
+    edges.update({e + eoff: (u + voff, v + voff) for e, (u, v) in h.edges.items()})
+    rotation = {v: g.rotation.get(v, ()) for v in g.vertices}
+    rotation.update(
+        {v + voff: [e + eoff for e in h.rotation.get(v, ())] for v in h.vertices}
+    )
+    vertices = list(g.vertices) + [v + voff for v in h.vertices]
+    return RotationGraph.build(vertices, edges, rotation)
+
+
 def multigraph(n, edge_pairs):
     return Multigraph(tuple(range(n)), {i: tuple(e) for i, e in enumerate(edge_pairs)})
 

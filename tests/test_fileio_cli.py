@@ -7,7 +7,14 @@ import pytest
 
 import anglecover
 from anglecover.cli import main
-from anglecover.core import Angle, AngleAssignment, RotationGraph, validate_graph
+from anglecover.core import (
+    Angle,
+    AngleAssignment,
+    CoverSpec,
+    RotationGraph,
+    check_cover,
+    validate_graph,
+)
 from anglecover.fileio import (
     FormatError,
     parse_cover,
@@ -15,7 +22,7 @@ from anglecover.fileio import (
     serialize_cover,
     serialize_instance,
 )
-from anglecover.instances import get_instance, instance_names
+from anglecover.instances import gen_regular, get_instance, instance_names
 from anglecover.transform import TopologicalGraph
 from conftest import K4_PLANE_ROTATION, complete_rotation_graph, rotation_graph
 
@@ -100,6 +107,18 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     assert cover.startswith("angle ")
     assert main(["solve", inst_file(tmp_path, "fig2a")]) == 1
     assert main(["solve", "--algo", "oracle", inst_file(tmp_path, "fig3")]) == 1
+
+
+def test_cli_solve_sextet_rounds_delta_up(tmp_path, capsys):
+    # Odd maximum degree 5 runs the sextet solver at delta 6, a = 2.
+    g = gen_regular(20, 5, 1)
+    f = write(tmp_path, "r5.inst", serialize_instance(g))
+    assert main(["solve", "--algo", "sextet", "--verify", f]) == 0
+    asg = parse_cover(capsys.readouterr().out)
+    assert check_cover(g, asg, CoverSpec(2, 2)).valid
+    edgeless = write(tmp_path, "e.inst", serialize_instance(rotation_graph([], n=3)))
+    assert main(["solve", "--algo", "sextet", "--verify", edgeless]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_solve_budget_indeterminate(tmp_path):

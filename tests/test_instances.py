@@ -1,4 +1,5 @@
 import random
+import time
 
 from anglecover.core import BASIC_SPEC, check_cover, trace_faces, validate_graph
 from anglecover.instances import (
@@ -103,6 +104,16 @@ def test_gen_bounded_degree_respects_bound():
         g = gen_random_bounded_degree(30, 4, seed)
         assert max(g.deg(v) for v in g.vertices) <= 4
         assert validate_graph(g) == []
+
+
+def test_gen_bounded_degree_is_fast_and_pinned():
+    t0 = time.perf_counter()
+    gen_random_bounded_degree(20_000, 4, 2)
+    assert time.perf_counter() - t0 < 3.0
+    # The benchmark pins this instance by its seed.
+    g = gen_random_bounded_degree(10_000, 4, 3)
+    assert len(g.edges) == 15777
+    assert sum(u == v for u, v in g.edges.values()) == 385
 
 
 def test_henneberg_laman_count():

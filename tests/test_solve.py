@@ -32,6 +32,7 @@ from conftest import (
     K4_PLANE_ROTATION,
     complete_graph,
     complete_rotation_graph,
+    disjoint_union,
     naive_cover_search,
     random_fixed_degree_graph,
     random_rotation_graph,
@@ -182,10 +183,13 @@ def test_solve_deg4_matches_oracle():
 def test_solve_deg4_on_generator_output():
     for seed in range(20):
         g = gen_random_bounded_degree(40, 4, seed)
-        cert = solve_deg4(g)
-        assert cert.verdict in ("YES", "NO")
-        if cert.is_yes:
-            assert check_cover(g, cert.assignment, BASIC_SPEC).valid
+        # A disjoint union pads deficient vertices across its components.
+        union = disjoint_union(g, gen_random_bounded_degree(seed + 1, 4, seed + 50))
+        for h in (g, union):
+            cert = solve_deg4(h)
+            assert cert.verdict in ("YES", "NO")
+            if cert.is_yes:
+                assert check_cover(h, cert.assignment, BASIC_SPEC).valid
 
 
 def test_solve_no_deg3_matches_oracle():
@@ -199,13 +203,22 @@ def test_solve_no_deg3_matches_oracle():
 
 
 def test_solve_sextet_produces_valid_cover():
-    for delta in (6, 8, 12):
+    # Delta mod 6 takes each of 0, 2 and 4.  The bounded-degree graphs are
+    # non-regular and have loops, so they and their disjoint unions
+    # exercise the padding.
+    for delta in (2, 4, 6, 8, 10, 12, 14, 16):
         spec = CoverSpec(delta // 2 - delta // 6, 2)
         for seed in range(10):
-            g = gen_regular(18, delta, seed)
-            cert = solve_sextet(g, delta)
-            assert cert.is_yes
-            assert check_cover(g, cert.assignment, spec).valid
+            bounded = gen_random_bounded_degree(5 + 3 * seed, delta, seed)
+            graphs = [
+                gen_regular(18, delta, seed),
+                bounded,
+                disjoint_union(bounded, gen_random_bounded_degree(seed + 1, delta, seed + 50)),
+            ]
+            for g in graphs:
+                cert = solve_sextet(g, delta)
+                assert cert.is_yes
+                assert check_cover(g, cert.assignment, spec).valid
 
 
 def test_solve_outerplane_matches_oracle():
