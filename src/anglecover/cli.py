@@ -3,8 +3,9 @@
 Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage or input error,
 3 = solver budget exhausted (INDETERMINATE), 4 = internal error.  Without
 --budget, solve, decompose and reduce witness take the node budget from the
-ANGLESET_BUDGET environment variable, read by `main`; a bad value is a usage
-error.
+ANGLESET_BUDGET environment variable, read by `main`; a bad value, like a
+non-positive --budget, is a usage error.  `solve --algo` with a special
+solver exits 2 for a spec that solver does not decide.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 
 from .allocate import optimal_allocation
 from .core import (
+    BASIC_SPEC,
     CoverSpec,
     MalformedAssignmentError,
     RotationGraph,
@@ -88,11 +90,19 @@ def _spec(args) -> CoverSpec:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph(args.file)
     spec = _spec(args)
     algo = args.algo
+    # The special solvers read no spec, so each accepts only what it decides.
+    if algo in ("deg4", "2sat", "outerplane") and spec != BASIC_SPEC:
+        raise UnsupportedInputError(f"--algo {algo} decides only --angles 1 --width 2")
+    if algo == "sextet" and spec.m != 2:
+        raise UnsupportedInputError(
+            "--algo sextet decides only --width 2 (the angle count follows"
+            " from the maximum degree)"
+        )
+    g = _load_graph(args.file)
     if algo == "auto":
-        if spec != CoverSpec(1, 2):
+        if spec != BASIC_SPEC:
             algo = "oracle"
         elif g.max_degree() <= 4:
             algo = "deg4"
@@ -104,10 +114,8 @@ def _cmd_solve(args) -> int:
         cert = oracle_solve(g, spec, budget=args.budget)
     elif algo == "deg4":
         cert = solve_deg4(g)
-        spec = CoverSpec(1, 2)
     elif algo == "2sat":
         cert = solve_no_deg3(g)
-        spec = CoverSpec(1, 2)
     elif algo == "sextet":
         top = g.max_degree()
         delta = max(2, top + top % 2)  # the smallest valid even delta
@@ -115,7 +123,6 @@ def _cmd_solve(args) -> int:
         spec = CoverSpec(delta // 2 - delta // 6, 2)
     else:  # outerplane
         cert = solve_outerplane(g, budget=args.budget)
-        spec = CoverSpec(1, 2)
     if cert.verdict == "INDETERMINATE":
         print("INDETERMINATE: node budget exhausted", file=sys.stderr)
         return EXIT_INDETERMINATE
@@ -355,6 +362,8 @@ def main(argv=None) -> int:
             raise ValueError(f"ANGLESET_BUDGET is not a positive integer: {raw!r}")
         if getattr(args, "budget", None) is None:
             args.budget = int(raw)
+        elif args.budget < 1:
+            raise ValueError(f"--budget is not a positive integer: {args.budget}")
         return args.func(args)
     except (
         FormatError,

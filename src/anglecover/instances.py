@@ -549,18 +549,19 @@ def gen_random_outerplane(n: int, seed) -> RotationGraph:
     rng = random.Random(seed)
     diagonals: list[tuple[int, int]] = []
 
-    def split(lo: int, hi: int):
+    # Split polygon ranges in pre-order (left part first), as a loop over
+    # an explicit stack so the depth does not grow with n.
+    stack = [(0, n - 1)]
+    while stack:
+        lo, hi = stack.pop()
         if hi - lo < 2:
-            return
+            continue
         k = rng.randrange(lo + 1, hi)
         if k - lo > 1:
             diagonals.append((lo, k))
         if hi - k > 1:
             diagonals.append((k, hi))
-        split(lo, k)
-        split(k, hi)
-
-    split(0, n - 1)
+        stack += [(k, hi), (lo, k)]
     kept = [d for d in diagonals if rng.random() < 0.7]
     names = [f"v{i}" for i in range(n)]
     pos = {

@@ -5,7 +5,9 @@ colour paths around a centre; a cover of the output corresponds exactly
 to a proper 3-colouring of the input.  Variants raise the angle budget
 (clique attachments), cap the degree at 8 (the T fragment), widen the
 angles (longer separator runs), or bootstrap hardness from any witness
-graph with no multi-angle cover.
+graph with no multi-angle cover.  The bootstrap needs a maximum-coverage
+assignment of the witness, which `max_coverage` gets from the oracle by
+raising its allowance of uncovered edges.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import (
-    Angle,
     AngleAssignment,
     BASIC_SPEC,
     CoverSpec,
@@ -369,95 +370,23 @@ def reduce_wide(g: Multigraph, m: int) -> RotationGraph:
     return b.finish()
 
 
-def _coverage_options(g: RotationGraph, v: int, spec: CoverSpec):
-    """Distinct covered-slot sets reachable with at most `a` angles at v,
-    each paired with witnessing angle starts."""
-    d = g.deg(v)
-    if d == 0:
-        return [(frozenset(), ())]
-    w = min(spec.m, d)
-    if spec.a * w >= d:
-        starts = tuple((k * w) % d for k in range(-(-d // w)))
-        return [(frozenset(range(d)), starts)]
-    opts: dict[frozenset, tuple[int, ...]] = {}
-    for starts in itertools.combinations(range(d), spec.a):
-        key = frozenset((s + t) % d for s in starts for t in range(w))
-        opts.setdefault(key, starts)
-    return sorted(opts.items(), key=lambda kv: len(kv[0]), reverse=True)
-
-
 def max_coverage(
-    g: RotationGraph, spec: CoverSpec = BASIC_SPEC
-) -> tuple[int, AngleAssignment]:
-    """An assignment covering the maximum number of edges (exhaustive
-    branch and bound; intended for small graphs)."""
-    verts = sorted(g.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    options = {v: _coverage_options(g, v, spec) for v in verts}
-    # Each edge is decided once its later endpoint has chosen; the earlier
-    # endpoint is kept as its level.
-    decide_at: list[list[tuple[tuple[int, ...], int, tuple[int, ...]]]]
-    decide_at = [[] for _ in verts]
-    for e, (u, v) in g.edges.items():
-        later, earlier = (u, v) if pos[u] >= pos[v] else (v, u)
-        ends = g.ends(e)
-        decide_at[pos[later]].append(
-            (
-                tuple(s for w, s in ends if w == later),
-                pos[earlier],
-                tuple(s for w, s in ends if w == earlier),
-            )
-        )
-    n = len(verts)
-    remaining = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        remaining[i] = remaining[i + 1] + len(decide_at[i])
+    g: RotationGraph, spec: CoverSpec = BASIC_SPEC, budget: int | None = None
+) -> tuple[int, AngleAssignment] | None:
+    """An assignment covering the maximum number of edges, with that
+    number; None if the oracle exhausts `budget` first.
 
-    best = -1
-    best_starts: list[tuple[int, ...]] = []
-    choice: list[frozenset] = [frozenset()] * n
-    starts_of: list[tuple[int, ...]] = [()] * n
-    covered = [0] * (n + 1)  # edges covered by the choices above level i
-    tried = [0] * n  # options of level i tried so far
-    # Depth-first over levels as a loop: the option order and the bound
-    # are those of a recursive search, without its depth limit.
-    i, entering = 0, True
-    while i >= 0:
-        if entering:
-            if covered[i] + remaining[i] <= best:
-                i, entering = i - 1, False
-                continue
-            if i == n:
-                best, best_starts = covered[i], starts_of[:]
-                i, entering = i - 1, False
-                continue
-            tried[i] = 0
-        opts = options[verts[i]]
-        if tried[i] == len(opts):
-            i, entering = i - 1, False
-            continue
-        opt, starts = opts[tried[i]]
-        tried[i] += 1
-        gained = 0
-        for slots_here, j, slots_other in decide_at[i]:
-            if any(s in opt for s in slots_here):
-                gained += 1
-            elif j != i and any(s in choice[j] for s in slots_other):
-                gained += 1
-        choice[i] = opt
-        starts_of[i] = starts
-        covered[i + 1] = covered[i] + gained
-        i, entering = i + 1, True
-
-    angles: dict[int, list[Angle]] = {}
-    for v, starts in zip(verts, best_starts):
-        d = g.deg(v)
-        if d == 0:
-            continue
-        w = min(spec.m, d)
-        angles[v] = [Angle(v, s, w) for s in starts]
-    asg = AngleAssignment.build(angles)
-    return best, asg
+    Asks the oracle for an assignment that leaves at most k edges
+    uncovered for k = 0, 1, ...; the first YES is at the minimum k.
+    """
+    k = 0  # at k = |E| the oracle may leave every edge uncovered: YES
+    while (cert := oracle_solve(g, spec, budget, uncovered=k)).is_no:
+        k += 1
+    if not cert.is_yes:
+        return None
+    chk = check_cover(g, cert.assignment, spec)
+    assert len(chk.uncovered_edges) == k and not chk.violations
+    return len(g.edges) - k, cert.assignment
 
 
 def reduce_witness(
@@ -482,16 +411,14 @@ def reduce_witness(
         raise UnsupportedInputError("witness max degree exceeds 2a+3")
     if g_input.max_degree() > 5:
         raise UnsupportedInputError("input max degree exceeds 5")
-    cert = oracle_solve(witness, spec, budget=budget)
-    if cert.verdict == "YES":
-        raise InvalidWitnessError("witness admits an a-angle cover")
-    if cert.verdict != "NO":
+    best = max_coverage(witness, spec, budget)
+    if best is None:
         raise InvalidWitnessError(
             "witness check exhausted its budget; refusing to guess"
         )
-    covered, asg = max_coverage(witness, spec)
-    d_edges = list(check_cover(witness, asg, spec).uncovered_edges)
-    assert len(d_edges) == len(witness.edges) - covered and d_edges
+    if best[0] == len(witness.edges):
+        raise InvalidWitnessError("witness admits an a-angle cover")
+    d_edges = list(check_cover(witness, best[1], spec).uncovered_edges)
     return _build_witness_reduction(g_input, witness, d_edges, a)
 
 

@@ -1,12 +1,13 @@
 """Cover-finding algorithms.
 
-Contains the exact backtracking oracle, the linear-time max-degree-4
-solver, the 2-SAT solver for graphs without degree-3 vertices, the
-sextet-based solver for even maximum degree, the outerplane entry point
-(an embedding check in front of the oracle), and a brute-force
-minimum-allocation search used as a testing oracle.  The max-degree-4
-and sextet solvers are one closed walk with a fixed slot pairing
-(`_walk_cover`); they differ only in the pairing.
+Contains the exact backtracking oracle (with an allowance of uncovered
+edges, also the search behind `reduce.max_coverage`), the linear-time
+max-degree-4 solver, the 2-SAT solver for graphs without degree-3
+vertices, the sextet-based solver for even maximum degree, the outerplane
+entry point (an embedding check in front of the oracle), and a
+brute-force minimum-allocation search used as a testing oracle.  The
+max-degree-4 and sextet solvers are one closed walk with a fixed slot
+pairing (`_walk_cover`); they differ only in the pairing.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def oracle_solve(
     spec: CoverSpec = BASIC_SPEC,
     budget: int | None = None,
     forced: dict[int, int] | None = None,
+    uncovered: int = 0,
 ) -> Certificate:
     """Exhaustive decision of the (a, m) angle cover problem.
 
@@ -79,7 +81,10 @@ def oracle_solve(
     loop over an explicit stack and one trail.  An assignment at v
     re-propagates only the undecided edges at v, against a cached arc
     count; the branch edge comes from a lazy heap.  `forced` optionally
-    pins edges to a covering endpoint.  Exceeding the node budget yields
+    pins edges to a covering endpoint.  With `uncovered` = k > 0, every
+    edge that is not pinned may also be left uncovered, tried first at a
+    branch and open while fewer than k edges have taken it, so a YES
+    leaves at most k edges uncovered.  Exceeding the node budget yields
     an INDETERMINATE certificate, never a wrong verdict.
     """
     if budget is None:
@@ -103,10 +108,14 @@ def oracle_solve(
             free_used.add(free_side[0][0])
             continue
         options[e] = darts
+    # Branch choices: None, tried first, leaves the edge uncovered.
+    skip = [None] if uncovered else []
+    choices = {e: d if forced and e in forced else skip + d for e, d in options.items()}
+    left = uncovered  # edges that may still be left uncovered
 
     committed: dict[int, set[int]] = {v: set() for v in g.vertices}
     mac = dict.fromkeys(g.vertices, 0)  # min_arc_cover count of committed[v]
-    assigned: dict[int, tuple[int, int]] = {}
+    assigned: dict[int, tuple[int, int] | None] = {}
     incident: dict[int, list[int]] = {v: [] for v in g.vertices}
     for e, darts in options.items():
         for w, _ in darts:
@@ -129,19 +138,31 @@ def oracle_solve(
         # One more slot raises the arc count by at most one.
         return mac[v] < a or min_arc_cover(deg[v], committed[v] | {s}, m)[0] <= a
 
-    def assign(e: int, d: tuple[int, int]) -> int:
+    def assign(e: int, d: tuple[int, int] | None):
+        nonlocal left
+        assigned[e] = d
+        if d is None:
+            trail.append((e, 0))
+            left -= 1
+            # The last allowance turns edges that relied on it into units.
+            return () if left else options
         v, s = d
         trail.append((e, mac[v]))
-        assigned[e] = d
         committed[v].add(s)
         mac[v] = min_arc_cover(deg[v], committed[v], m)[0]
         touch(v)
-        return v
+        return incident[v]
 
     def undo(mark: int) -> None:
+        nonlocal left
         while len(trail) > mark:
             e, old = trail.pop()
-            v, s = assigned.pop(e)
+            d = assigned.pop(e)
+            if d is None:
+                left += 1
+                heapq.heappush(heap, (key(e), e))
+                continue
+            v, s = d
             committed[v].discard(s)
             mac[v] = old
             touch(v)
@@ -155,6 +176,8 @@ def oracle_solve(
             if e in assigned:
                 continue
             opts = [d for d in options[e] if feasible(*d)]
+            if left and choices[e][0] is None:
+                opts.append(None)
             if len(opts) > 1:
                 continue
             if not opts:
@@ -162,7 +185,7 @@ def oracle_solve(
             nodes += 1
             if nodes > budget:
                 return False
-            queue.extend(incident[assign(e, opts[0])])
+            queue.extend(assign(e, opts[0]))
         return True
 
     # Frames [branch edge, next option, trail mark], each at a propagation
@@ -185,8 +208,8 @@ def oracle_solve(
         frame = stack[-1]
         branch, i, mark = frame
         undo(mark)
-        opts = options[branch]
-        while i < len(opts) and not feasible(*opts[i]):
+        opts = choices[branch]
+        while i < len(opts) and not (left if opts[i] is None else feasible(*opts[i])):
             i += 1
         if i == len(opts):
             stack.pop()
@@ -194,7 +217,7 @@ def oracle_solve(
             continue
         frame[1] = i + 1
         nodes += 1
-        ok = nodes <= budget and propagate(incident[assign(branch, opts[i])])
+        ok = nodes <= budget and propagate(assign(branch, opts[i]))
 
     if ok:
         assert len(assigned) == len(options), (
@@ -218,42 +241,42 @@ def oracle_solve(
 # The traversal solvers: one closed walk with a fixed slot pairing.
 
 
-def _regularize(g: RotationGraph, target: int) -> RotationGraph:
-    """Pad every vertex to degree `target` (even) with dummy edges.
+def _regularize(g: RotationGraph, target: int) -> list[int]:
+    """Twin array of g padded to degree `target` (even) with dummy edges.
 
-    Deficient vertices are paired greedily by lowest id over the whole
-    graph; a single leftover vertex receives self-loops, which is always
-    possible because the total deficit target * n - 2|E| is even.  Dummy
-    slots are appended at the end of each rotation so original cyclic
-    adjacencies survive projection.  Every vertex of the padded graph has
-    degree `target`, so its slot s at the vertex of rank i is dart
-    target * i + s.
+    Slot s at the vertex of rank i is dart target * i + s, and real darts
+    keep their slots.  Deficient vertices are paired greedily by lowest
+    id over the whole graph, each dummy edge taking the next free slot at
+    both ends, so original cyclic adjacencies survive projection.  A
+    single leftover vertex receives self-loops on consecutive slots, which
+    is always possible because the total deficit target * n - 2|E| is even.
     """
-    rot = {v: list(g.rotation.get(v, ())) for v in g.vertices}
-    edges = dict(g.edges)
-    next_edge = max(g.edges, default=-1) + 1
-    # u is the lowest-id vertex still deficient; it pairs with each later
-    # deficient vertex in id order until one of them is full.
+    verts = sorted(g.vertices)
+    if len(g.dart_index.twin) == target * len(verts):
+        return g.dart_index.twin  # already regular; callers only read it
+    pos = [target * i + s for i, v in enumerate(verts) for s in range(g.deg(v))]
+    twin = [0] * (target * len(verts))
+    for p, t in zip(pos, g.dart_index.twin):
+        twin[p] = pos[t]
+    nxt = [target * i + g.deg(v) for i, v in enumerate(verts)]  # next free dart
+    # u is the rank of the lowest vertex still deficient; it pairs with
+    # each later deficient vertex in rank order until one of them is full.
     u = None
-    for v in sorted(g.vertices):
-        while len(rot[v]) < target:
+    for i in range(len(verts)):
+        while nxt[i] < target * (i + 1):
             if u is None:
-                u = v
+                u = i
                 break
-            rot[u].append(next_edge)
-            rot[v].append(next_edge)
-            edges[next_edge] = (u, v)
-            next_edge += 1
-            if len(rot[u]) == target:
+            p, q = nxt[u], nxt[i]
+            twin[p], twin[q] = q, p
+            nxt[u], nxt[i] = p + 1, q + 1
+            if nxt[u] == target * (u + 1):
                 u = None
     if u is not None:
-        need = target - len(rot[u])
-        assert need % 2 == 0, "degree parity broken"
-        for _ in range(need // 2):
-            rot[u].extend([next_edge, next_edge])
-            edges[next_edge] = (u, u)
-            next_edge += 1
-    return RotationGraph(g.vertices, edges, {v: tuple(r) for v, r in rot.items()})
+        assert (target * (u + 1) - nxt[u]) % 2 == 0, "degree parity broken"
+        for p in range(nxt[u], target * (u + 1), 2):
+            twin[p], twin[p + 1] = p + 1, p
+    return twin
 
 
 def _walk_cover(g: RotationGraph, delta: int, partner, a: int) -> Certificate:
@@ -267,7 +290,7 @@ def _walk_cover(g: RotationGraph, delta: int, partner, a: int) -> Certificate:
     No walk uses an edge in both directions: such a walk would be its own
     reverse, which needs a slot that is its own partner.
     """
-    twin = _regularize(g, delta).dart_index.twin
+    twin = _regularize(g, delta)
     # 0: edge not yet walked; 1: walked out of this dart; 2: walked into it.
     used = bytearray(len(twin))
     for d0 in range(len(twin)):

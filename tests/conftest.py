@@ -104,8 +104,8 @@ def random_fixed_degree_graph(rng, n, degree_choices):
     return RotationGraph.build(range(n), edges, incident)
 
 
-def naive_cover_search(g, spec):
-    """Complete search over every per-vertex covered-slot choice."""
+def _covered_counts(g, spec):
+    """Edges covered by each per-vertex covered-slot choice in turn."""
     verts = sorted(g.vertices)
     per_vertex = []
     for v in verts:
@@ -122,9 +122,18 @@ def naive_cover_search(g, spec):
     slot_of = {v: g.edge_slots(v) for v in verts}
     for combo in itertools.product(*per_vertex):
         chosen = dict(zip(verts, combo))
-        if all(
+        yield sum(
             any(s in chosen[w2] for w2 in set(pair) for s in slot_of[w2].get(e, ()))
             for e, pair in g.edges.items()
-        ):
-            return "YES"
-    return "NO"
+        )
+
+
+def naive_cover_search(g, spec):
+    """Complete search over every per-vertex covered-slot choice."""
+    full = len(g.edges)
+    return "YES" if any(c == full for c in _covered_counts(g, spec)) else "NO"
+
+
+def naive_max_coverage(g, spec):
+    """The most edges that any per-vertex covered-slot choice covers."""
+    return max(_covered_counts(g, spec))

@@ -22,7 +22,12 @@ from anglecover.fileio import (
     serialize_cover,
     serialize_instance,
 )
-from anglecover.instances import gen_regular, get_instance, instance_names
+from anglecover.instances import (
+    gen_random_outerplane,
+    gen_regular,
+    get_instance,
+    instance_names,
+)
 from anglecover.transform import TopologicalGraph
 from conftest import K4_PLANE_ROTATION, complete_rotation_graph, rotation_graph
 
@@ -142,6 +147,45 @@ def test_cli_budget_env_override(tmp_path, monkeypatch):
     assert main(["solve", "--algo", "oracle", f]) == 1
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cli_budget_flag_non_positive(tmp_path, capsys, budget):
+    fig1 = inst_file(tmp_path, "fig1")
+    tri = write(tmp_path, "tri.inst", "e 0 0 1\ne 1 1 2\ne 2 2 0\n")
+    witness = ["reduce", "witness", "--angles", "1", "--witness", fig1, tri]
+    for argv in (["solve", fig1], witness):
+        assert main([*argv[:-1], "--budget", budget, argv[-1]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --budget is not a positive integer: {budget}\n"
+    # decompose has no --budget flag (it reads ANGLESET_BUDGET only), so
+    # argparse itself rejects the flag as a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--budget", budget, fig1])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "algo, flags, graph",
+    [
+        ("2sat", ["--width", "3"], lambda: get_instance("laman-fig6").graph),
+        ("deg4", ["--width", "3"], lambda: get_instance("fig1").graph),
+        ("deg4", ["--angles", "2"], lambda: get_instance("fig1").graph),
+        ("outerplane", ["--angles", "2"], lambda: gen_random_outerplane(12, 0)),
+        ("sextet", ["--width", "3"], lambda: get_instance("fig1").graph),
+    ],
+    ids=["2sat-width3", "deg4-width3", "deg4-angles2", "outerplane-angles2",
+         "sextet-width3"],
+)
+def test_cli_special_solver_rejects_other_specs(tmp_path, capsys, algo, flags, graph):
+    # These solvers once ignored the flags: 2sat said NO to a valid (1, 3)
+    # instance and deg4 printed width-2 angles as a width-3 cover.
+    f = write(tmp_path, "g.inst", serialize_instance(graph()))
+    assert main(["solve", "--algo", algo, *flags, f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_cli_import_does_not_load_networkx():
     src = os.path.dirname(os.path.dirname(anglecover.__file__))
     code = "import sys, anglecover.cli; print('networkx' in sys.modules)"
@@ -238,6 +282,17 @@ def test_cli_reduce_witness_with_long_path(tmp_path, capsys):
     )
     assert main(["reduce", "witness", "--angles", "1", "--witness", wf, tri]) == 0
     assert validate_graph(parse_instance(capsys.readouterr().out)) == []
+
+
+def test_cli_reduce_witness_fig2b_is_fast(tmp_path, capsys):
+    # The maximum-coverage search once took about 40 s on this witness.
+    w = inst_file(tmp_path, "fig2b")
+    tri = write(tmp_path, "tri.inst", "e 0 0 1\ne 1 1 2\ne 2 2 0\n")
+    start = time.perf_counter()
+    assert main(["reduce", "witness", "--angles", "1", "--witness", w, tri]) == 0
+    assert time.perf_counter() - start < 5.0
+    h = parse_instance(capsys.readouterr().out)
+    assert validate_graph(h) == [] and len(h.edges) == 3  # |D| = 1 copy
 
 
 def test_cli_gen_pipes_into_solve(tmp_path, capsys):

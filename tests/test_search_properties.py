@@ -1,12 +1,12 @@
-"""Property tests for the oracle against two independent exhaustive
-searches."""
+"""Property tests for the oracle, with and without an uncovered-edge
+allowance, against an independent exhaustive search."""
 
 from hypothesis import given, settings, strategies as st
 
 from anglecover.core import CoverSpec, RotationGraph, check_cover
 from anglecover.reduce import max_coverage
 from anglecover.solve import oracle_solve
-from conftest import naive_cover_search
+from conftest import naive_cover_search, naive_max_coverage
 
 
 @st.composite
@@ -32,7 +32,11 @@ specs = st.builds(CoverSpec, st.integers(1, 3), st.integers(2, 3))
 def test_oracle_agrees_with_exhaustive_searches(g, spec):
     cert = oracle_solve(g, spec)
     assert cert.verdict == naive_cover_search(g, spec)
-    assert cert.is_yes == (max_coverage(g, spec)[0] == len(g.edges))
     if cert.is_yes:
         assert check_cover(g, cert.assignment, spec).valid
+    count, asg = max_coverage(g, spec)
+    assert count == naive_max_coverage(g, spec)
+    chk = check_cover(g, asg, spec)
+    assert not chk.violations
+    assert len(chk.uncovered_edges) == len(g.edges) - count
 
