@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage or input error,
-3 = solver budget exhausted (INDETERMINATE), 4 = internal error.  Without
---budget, solve, decompose and reduce witness take the node budget from the
-ANGLESET_BUDGET environment variable, read by `main`; a bad value, like a
-non-positive --budget, is a usage error.  `solve --algo` with a special
-solver exits 2 for a spec that solver does not decide.
+3 = solver budget exhausted (INDETERMINATE), 4 = internal error.  solve,
+decompose and reduce witness take the node budget from the ANGLESET_BUDGET
+environment variable, read by `main`; for solve and reduce witness, which
+have a --budget option, that option takes precedence (decompose has none).
+A bad value, like a non-positive --budget, is a usage error.  `solve --algo`
+with a special solver exits 2 for a spec that solver does not decide.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import eq
 
 
 class MalformedAssignmentError(ValueError):
@@ -115,17 +116,23 @@ class DartIndex:
             first[v] = len(edge)
             vertex += [v] * len(rot)
             edge += rot
-        counts = Counter(edge)
-        bad = next((e for e in (*counts, *g.edges) if counts[e] != 2), None)
-        if bad is not None:
-            raise UnsupportedInputError(
-                f"edge {bad} has {counts[bad]} rotation occurrences, expected 2"
-            )
         dart_of: dict[int, int] = {}
         twin = [0] * len(edge)
         for d, e in enumerate(edge):
             o = dart_of.setdefault(e, d)
             twin[o], twin[d] = d, o
+        # An edge seen once is its own twin; with no such edge, 2|dart_of|
+        # darts mean every edge is seen exactly twice.
+        if (
+            2 * len(dart_of) != len(edge)
+            or any(map(eq, twin, range(len(twin))))
+            or not g.edges.keys() <= dart_of.keys()
+        ):
+            counts = Counter(edge)
+            bad = next(e for e in (*counts, *g.edges) if counts[e] != 2)
+            raise UnsupportedInputError(
+                f"edge {bad} has {counts[bad]} rotation occurrences, expected 2"
+            )
         return DartIndex(first, vertex, edge, twin, dart_of)
 
     def slot(self, d: int) -> int:
@@ -221,7 +228,31 @@ class Certificate:
 
 
 def validate_graph(g: RotationGraph) -> list[str]:
-    """Check the RotationGraph invariants; returns one message per violation."""
+    """Check the RotationGraph invariants; returns one message per violation.
+
+    A graph is valid when its dart index builds, names only edges of g,
+    and puts each edge's two darts at the edge's two endpoints (which are
+    then vertices).  The index stays cached on g for the solvers; the
+    messages come from a rotation walk that runs only on invalid graphs.
+    """
+    try:
+        ix = g.dart_index
+    except UnsupportedInputError:
+        return _violations(g)
+    vertex, twin, edges = ix.vertex, ix.twin, g.edges
+    if len(ix.dart_of) == len(edges):
+        for e, d in ix.dart_of.items():
+            u, w = edges[e]
+            x, y = vertex[d], vertex[twin[d]]
+            if not (x == u and y == w or x == w and y == u):
+                break
+        else:
+            return []
+    return _violations(g)
+
+
+def _violations(g: RotationGraph) -> list[str]:
+    """validate_graph's messages, from a walk over every rotation entry."""
     issues = []
     vset = set(g.vertices)
     for e, (u, v) in sorted(g.edges.items()):
@@ -336,23 +367,26 @@ def trace_faces(g: RotationGraph) -> FaceData:
     genus = (2 - V + E - F) / 2; isolated vertices count one face.
     """
     ix = g.dart_index
+    first, vertex, twin = ix.first, ix.vertex, ix.twin
+    n = len(twin)
     comp = components(g)
     faces: list[tuple[tuple[int, int], ...]] = []
     face_of_component: dict[int, int] = {}
-    seen = bytearray(len(ix.twin))
-    for start in range(len(ix.twin)):
+    seen = bytearray(n)
+    for start in range(n):
         if seen[start]:
             continue
         cycle = []
         d = start
         while not seen[d]:
             seen[d] = 1
-            cycle.append((ix.vertex[d], ix.slot(d)))
-            t = ix.twin[d]
-            w = ix.vertex[t]
+            v = vertex[d]
+            cycle.append((v, d - first[v]))
+            t = twin[d]
+            w = vertex[t]
             d = t + 1  # the next slot at w, wrapping round to slot 0
-            if d == len(ix.twin) or ix.vertex[d] != w:
-                d = ix.first[w]
+            if d == n or vertex[d] != w:
+                d = first[w]
         faces.append(tuple(cycle))
         root = comp[cycle[0][0]]
         face_of_component[root] = face_of_component.get(root, 0) + 1

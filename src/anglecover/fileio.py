@@ -12,6 +12,8 @@ CoverFile: `angle <v> <start-slot> <width>` lines ascending by (v, start).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import Angle, AngleAssignment, RotationGraph
 from .transform import Crossing, Multigraph, TopologicalGraph
 
@@ -22,9 +24,9 @@ class FormatError(ValueError):
 
 def _tokens(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield lineno, toks
 
 
 def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
@@ -39,30 +41,34 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
     try:
         for lineno, toks in _tokens(text):
             kind = toks[0]
-            if kind == "v" and len(toks) == 2:
-                vertices.add(int(toks[1]))
-            elif kind == "e" and len(toks) == 4:
-                eid, u, v = (int(t) for t in toks[1:])
+            if kind == "e" and len(toks) == 4:
+                eid, u, v = int(toks[1]), int(toks[2]), int(toks[3])
                 if eid in edges:
                     raise FormatError(f"line {lineno}: duplicate edge id {eid}")
                 edges[eid] = (u, v)
-                vertices.update((u, v))
             elif kind == "rot" and len(toks) >= 2 and toks[1].endswith(":"):
                 v = int(toks[1][:-1])
-                vertices.add(v)
-                rotation[v] = tuple(int(t) for t in toks[2:])
+                if v in rotation:
+                    raise FormatError(
+                        f"line {lineno}: duplicate rotation for vertex {v}"
+                    )
+                rotation[v] = tuple(map(int, toks[2:]))
+            elif kind == "v" and len(toks) == 2:
+                vertices.add(int(toks[1]))
             elif kind == "x" and len(toks) == 5:
-                xid, e, f, bit = (int(t) for t in toks[1:])
+                xid, e, f, bit = map(int, toks[1:])
                 crossings[xid] = Crossing(e, f, bit)
             elif kind == "seq" and len(toks) >= 2 and toks[1].endswith(":"):
                 e = int(toks[1][:-1])
-                sequences[e] = tuple(int(t) for t in toks[2:])
+                sequences[e] = tuple(map(int, toks[2:]))
             else:
                 raise FormatError(f"line {lineno}: cannot parse {' '.join(toks)!r}")
     except ValueError as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(str(exc)) from exc
+    vertices.update(rotation)
+    vertices.update(chain.from_iterable(edges.values()))
     missing = sorted(vertices - rotation.keys())
     if missing:
         default: dict[int, list[int]] = {v: [] for v in missing}
@@ -71,7 +77,7 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
                 if w in default:
                     default[w].append(e)
         rotation.update((v, tuple(slots)) for v, slots in default.items())
-    g = RotationGraph.build(sorted(vertices), edges, rotation)
+    g = RotationGraph(tuple(sorted(vertices)), edges, rotation)
     if crossings or sequences:
         tg = TopologicalGraph(g, crossings, sequences)
         issues = tg.validate()

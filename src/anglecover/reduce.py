@@ -377,9 +377,13 @@ def max_coverage(
     number; None if the oracle exhausts `budget` first.
 
     Asks the oracle for an assignment that leaves at most k edges
-    uncovered for k = 0, 1, ...; the first YES is at the minimum k.
+    uncovered for k = k0, k0 + 1, ...; the first YES is at the minimum k.
+    A vertex covers at most min(deg, a * m) slots, so no assignment
+    covers more edges than their sum, and every k below k0 = |E| minus
+    that sum is a NO that needs no search.
     """
-    k = 0  # at k = |E| the oracle may leave every edge uncovered: YES
+    reach = sum(min(g.deg(v), spec.a * spec.m) for v in g.vertices)
+    k = max(0, len(g.edges) - reach)  # at k = |E| the oracle answers YES
     while (cert := oracle_solve(g, spec, budget, uncovered=k)).is_no:
         k += 1
     if not cert.is_yes:

@@ -13,6 +13,7 @@ pairing (`_walk_cover`); they differ only in the pairing.
 from __future__ import annotations
 
 import heapq
+from operator import eq, lt
 
 from .core import (
     Angle,
@@ -309,11 +310,16 @@ def _walk_cover(g: RotationGraph, delta: int, partner, a: int) -> Certificate:
             d = nxt
 
     angles: dict[int, list[Angle]] = {}
+    arcs_of: dict[bytes, list[int]] = {}  # a vertex's slot marks -> arc starts
     for i, v in enumerate(sorted(g.vertices)):
         deg = g.deg(v)
-        outs = [s for s in range(deg) if used[delta * i + s] == 1]
-        count, arcs = min_arc_cover(deg, outs, 2)
-        assert count <= a, "angle budget exceeded"
+        marks = bytes(used[delta * i : delta * i + deg])
+        arcs = arcs_of.get(marks)
+        if arcs is None:
+            outs = [s for s in range(deg) if marks[s] == 1]
+            count, arcs = min_arc_cover(deg, outs, 2)
+            assert count <= a, "angle budget exceeded"
+            arcs_of[marks] = arcs
         angles[v] = _arcs_to_angles(v, deg, arcs, 2)
     return Certificate("YES", AngleAssignment.build(angles))
 
@@ -357,50 +363,44 @@ def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
 def solve_no_deg3(g: RotationGraph) -> Certificate:
     """2-SAT decision for graphs with no degree-3 vertex.
 
-    One variable per slot of each vertex of degree >= 4 ("this slot is
-    covered here"); a coverage clause per edge between such vertices and
-    an exclusion clause per non-consecutive slot pair.  Vertices of
-    degree <= 2 cover all of their edges outright.
+    One variable per dart at a vertex of degree >= 4 ("this slot is
+    covered here"), numbered as the dart; a coverage clause per edge
+    between such vertices and an exclusion clause per non-consecutive
+    slot pair.  Vertices of degree <= 2 cover all of their edges outright.
     """
     if any(g.deg(v) == 3 for v in g.vertices):
         raise UnsupportedInputError("graph has a degree-3 vertex")
-    high = [v for v in g.vertices if g.deg(v) >= 4]
-    var_index: dict[tuple[int, int], int] = {}
-    for v in sorted(high):
-        for s in range(g.deg(v)):
-            var_index[(v, s)] = len(var_index)
-    n_vars = len(var_index)
+    ix = g.dart_index
+    twin = ix.twin
+    high = [g.deg(v) >= 4 for v in ix.vertex]  # per dart
 
-    # Literal encoding: 2k for x_k, 2k + 1 for its negation.
-    adj: list[list[int]] = [[] for _ in range(2 * n_vars)]
-
-    def add_clause(l1: int, l2: int):
-        adj[l1 ^ 1].append(l2)
-        adj[l2 ^ 1].append(l1)
-
-    for e in sorted(g.edges):
-        darts = g.ends(e)
-        lits = [2 * var_index[d] for d in darts if d in var_index]
-        if len(lits) < len(darts):
-            continue  # a low-degree endpoint covers this edge for free
-        if len(lits) == 1:
-            add_clause(lits[0], lits[0])
-        else:
-            add_clause(lits[0], lits[1])
-    for v in sorted(high):
-        d = g.deg(v)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if (i + 1) % d == j or (j + 1) % d == i:
-                    continue
-                add_clause(2 * var_index[(v, i)] + 1, 2 * var_index[(v, j)] + 1)
+    # Literal 2d is "dart d covered", 2d + 1 its negation; a clause
+    # (l1 or l2) adds the implications not-l1 -> l2 and not-l2 -> l1.  A
+    # coverage clause (d or twin d) gives node 2d + 1 its one edge, and the
+    # exclusion clauses (not d or not d') give node 2d its edges, in
+    # ascending slot order.
+    adj: list[list[int]] = [[] for _ in range(2 * len(twin))]
+    excluded: dict[int, list[list[int]]] = {}  # degree -> slot i -> [2j + 1]
+    for v in sorted(g.vertices):
+        k = g.deg(v)
+        if k < 4:
+            continue
+        if k not in excluded:
+            excluded[k] = [
+                [2 * j + 1 for j in range(k) if (j - i) % k not in (0, 1, k - 1)]
+                for i in range(k)
+            ]
+        f = ix.first[v]
+        for i, lits in enumerate(excluded[k]):
+            d = f + i
+            adj[2 * d] = [2 * f + x for x in lits]
+            if high[twin[d]]:
+                adj[2 * d + 1] = [2 * twin[d]]
 
     comp = _tarjan_scc(adj)
-    model = []
-    for x in range(n_vars):
-        if comp[2 * x] == comp[2 * x + 1]:
-            return Certificate("NO")
-        model.append(comp[2 * x] < comp[2 * x + 1])
+    if any(map(eq, comp[0::2], comp[1::2])):
+        return Certificate("NO")
+    model = list(map(lt, comp[0::2], comp[1::2]))
 
     angles: dict[int, list[Angle]] = {}
     for v in sorted(g.vertices):
@@ -410,7 +410,8 @@ def solve_no_deg3(g: RotationGraph) -> Certificate:
         if d <= 2:
             angles[v] = [Angle(v, 0, min(2, d))]
             continue
-        true_slots = sorted(s for s in range(d) if model[var_index[(v, s)]])
+        f = ix.first[v]
+        true_slots = [s for s in range(d) if model[f + s]]
         if not true_slots:
             continue
         if len(true_slots) == 1:
@@ -429,38 +430,41 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
     n = len(adj)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
+    comp = [-1] * n  # -1 while the node is unvisited or on the stack
+    ptr = [0] * n  # next edge of each node to follow
     stack: list[int] = []
     counter = 0
     n_comps = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [root]
         while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            if ptr < len(adj[node]):
-                work[-1] = (node, ptr + 1)
-                nxt = adj[node][ptr]
-                if index[nxt] == -1:
-                    work.append((nxt, 0))
-                elif on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
+            node = work[-1]
+            out = adj[node]
+            i = ptr[node]
+            while i < len(out):
+                w = out[i]
+                i += 1
+                if index[w] == -1:
+                    ptr[node] = i
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append(w)
+                    break
+                if comp[w] == -1 and index[w] < low[node]:
+                    low[node] = index[w]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                if work and low[node] < low[work[-1]]:
+                    low[work[-1]] = low[node]
                 if low[node] == index[node]:
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
                         comp[w] = n_comps
                         if w == node:
                             break

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from anglecover.core import RotationGraph
 from anglecover.transform import Multigraph
@@ -137,3 +138,44 @@ def naive_cover_search(g, spec):
 def naive_max_coverage(g, spec):
     """The most edges that any per-vertex covered-slot choice covers."""
     return max(_covered_counts(g, spec))
+
+
+def reference_validate_graph(g):
+    """validate_graph as a walk over every rotation entry, kept as the
+    reference for the messages and their order."""
+    issues = []
+    vset = set(g.vertices)
+    for e, (u, v) in sorted(g.edges.items()):
+        for w in {u, v}:
+            if w not in vset:
+                issues.append(f"edge {e}: endpoint {w} is not a vertex")
+    occurrences = Counter()
+    for v in g.vertices:
+        for e in g.rotation.get(v, ()):
+            occurrences[v, e] += 1
+            if e not in g.edges:
+                issues.append(f"vertex {v}: rotation names unknown edge {e}")
+            elif v not in g.edges[e]:
+                issues.append(f"vertex {v}: rotation lists non-incident edge {e}")
+    for e, (u, v) in sorted(g.edges.items()):
+        if u not in vset or v not in vset:
+            continue
+        if u == v:
+            count = occurrences[u, e]
+            if count != 2:
+                issues.append(
+                    f"self-loop {e} at {u} occurs {count} times in rotation, expected 2"
+                )
+        else:
+            for w in (u, v):
+                count = occurrences[w, e]
+                if count != 1:
+                    issues.append(
+                        f"edge {e}=({u},{v}) occurs {count} times in rotation of {w},"
+                        " expected 1"
+                    )
+    endpoints = {w for ends in g.edges.values() for w in ends}
+    for v in g.vertices:
+        if v not in g.rotation and v in endpoints:
+            issues.append(f"vertex {v}: missing rotation")
+    return issues

@@ -13,7 +13,11 @@ from anglecover.core import (
     validate_graph,
 )
 from anglecover.fileio import parse_instance, serialize_instance
-from conftest import complete_rotation_graph, rotation_graph
+from conftest import (
+    complete_rotation_graph,
+    reference_validate_graph,
+    rotation_graph,
+)
 
 
 def test_validate_flags_missing_rotation_occurrence():
@@ -192,6 +196,59 @@ def test_trace_faces_survives_reserialization(g):
     copy = parse_instance(serialize_instance(g))
     assert trace_faces(copy).faces == trace_faces(g).faces
     assert trace_faces(copy).genus == trace_faces(g).genus
+
+
+FAULTS = ("drop", "duplicate", "unknown", "move", "no rotation", "outside")
+
+
+def _inject(draw, g, fault):
+    """A copy of g with one fault of the given kind, where g allows it."""
+    vertices = list(g.vertices)
+    edges = dict(g.edges)
+    rotation = {v: list(rot) for v, rot in g.rotation.items()}
+    listed = [v for v in vertices if rotation.get(v)]
+    pick = lambda xs: draw(st.sampled_from(xs))  # noqa: E731
+    if fault in ("drop", "duplicate", "move") and listed:
+        v = pick(listed)
+        e = rotation[v].pop(draw(st.integers(0, len(rotation[v]) - 1)))
+        if fault == "duplicate":
+            rotation[v][draw(st.integers(0, len(rotation[v]))):0] = [e, e]
+        elif fault == "move":
+            others = [w for w in vertices if w not in edges.get(e, ())]
+            if not others:
+                return None
+            w = pick(others)
+            rot = rotation.setdefault(w, [])
+            rot.insert(draw(st.integers(0, len(rot))), e)
+    elif fault == "unknown":
+        rot = rotation.setdefault(pick(vertices), [])
+        rot.insert(draw(st.integers(0, len(rot))), len(edges) + 7)
+    elif fault == "no rotation":
+        rotation.pop(pick(vertices), None)
+    elif fault == "outside":
+        outsider = max(vertices) + 1 + draw(st.integers(0, 2))
+        if edges and draw(st.booleans()):
+            e = pick(sorted(edges))
+            u, w = edges[e]
+            edges[e] = (u, outsider) if draw(st.booleans()) else (outsider, w)
+        else:
+            e, u = len(edges), pick(vertices)
+            edges[e] = (u, outsider)
+            rotation.setdefault(u, []).append(e)
+    else:
+        return None
+    return RotationGraph.build(vertices, edges, rotation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_graphs(), st.lists(st.sampled_from(FAULTS), max_size=3), st.data())
+def test_validate_graph_matches_the_rotation_walk(g, faults, data):
+    assert validate_graph(g) == [] == reference_validate_graph(g)
+    for fault in faults:
+        bad = _inject(data.draw, g, fault)
+        if bad is not None:
+            g = bad
+    assert validate_graph(g) == reference_validate_graph(g)
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,12 @@ def test_parse_rejects_garbage():
             parse_instance(bad)
 
 
+def test_parse_rejects_duplicate_rotation():
+    with pytest.raises(FormatError) as exc:
+        parse_instance("e 0 0 1\nrot 0: 0 1\nrot 0: 1 0\n")
+    assert str(exc.value) == "line 3: duplicate rotation for vertex 0"
+
+
 def test_parse_rejects_inconsistent_crossing():
     with pytest.raises(FormatError):
         parse_instance("e 0 0 1\ne 1 2 3\nx 0 0 1 0\nseq 0: 0\n")
@@ -307,6 +313,13 @@ def test_cli_instance_unknown_name():
 
 def test_cli_io_error():
     assert main(["solve", "/does/not/exist.inst"]) == 2
+
+
+def test_cli_rejects_duplicate_rotation(tmp_path, capsys):
+    f = write(tmp_path, "d.inst", "e 0 0 0\nrot 0: 0 0\nrot 0: 0 0\n")
+    assert main(["solve", f]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 3: duplicate rotation for vertex 0"]
 
 
 def test_cli_rejects_topological_input_to_solve(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,12 @@ from anglecover.reduce import (
 )
 from anglecover.solve import oracle_solve
 from anglecover.transform import Multigraph
-from conftest import complete_graph, multigraph, rotation_graph
+from conftest import (
+    complete_graph,
+    multigraph,
+    random_fixed_degree_graph,
+    rotation_graph,
+)
 
 
 def all_small_graphs(n):
@@ -146,6 +152,22 @@ def test_max_coverage_uncoverable_instance():
     best, asg = max_coverage(g, BASIC_SPEC)
     assert best == len(covered_edges(g, asg))
     assert best == len(g.edges) - 1  # one short of a full basic cover
+
+
+def test_max_coverage_skips_counting_bound_steps():
+    # The slowest of 300 such graphs: its optimum leaves 6 edges
+    # uncovered, which is exactly |E| minus the slots its vertices can
+    # cover, so no step below 6 needs a search.
+    rng = random.Random(1)
+    for _ in range(67):
+        g = random_fixed_degree_graph(rng, rng.randint(3, 10), (3, 4, 5, 6))
+    assert (len(g.vertices), len(g.edges)) == (10, 26)
+    t0 = time.perf_counter()
+    best, asg = max_coverage(g, BASIC_SPEC)
+    assert time.perf_counter() - t0 < 1.0
+    assert best == len(g.edges) - 6
+    chk = check_cover(g, asg, BASIC_SPEC)
+    assert len(chk.uncovered_edges) == 6 and not chk.violations
 
 
 def covered_edges(g, asg):

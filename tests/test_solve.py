@@ -202,6 +202,34 @@ def test_solve_no_deg3_matches_oracle():
             assert check_cover(g, cert.assignment, BASIC_SPEC).valid
 
 
+def _with_loops(rng, g):
+    """g plus a loop, both slots at random places, at some vertices of
+    degree >= 2, so no vertex reaches degree 3."""
+    edges = dict(g.edges)
+    rotation = {v: list(g.rotation[v]) for v in g.vertices}
+    for v in g.vertices:
+        if g.deg(v) >= 2 and rng.random() < 0.5:
+            e = len(edges)
+            edges[e] = (v, v)
+            for _ in range(2):
+                rotation[v].insert(rng.randint(0, len(rotation[v])), e)
+    return RotationGraph.build(g.vertices, edges, rotation)
+
+
+def test_solve_no_deg3_matches_oracle_at_high_degree():
+    # Degrees up to 8, with and without extra loops, exercise the
+    # per-dart variables at vertices with many slots.
+    rng = random.Random(43)
+    for i in range(300):
+        g = random_fixed_degree_graph(rng, rng.randint(1, 7), (1, 2, 4, 6, 8))
+        if i % 2:
+            g = _with_loops(rng, g)
+        cert = solve_no_deg3(g)
+        assert cert.verdict == oracle_solve(g).verdict, i
+        if cert.is_yes:
+            assert check_cover(g, cert.assignment, BASIC_SPEC).valid, i
+
+
 def test_solve_sextet_produces_valid_cover():
     # Delta mod 6 takes each of 0, 2 and 4.  The bounded-degree graphs are
     # non-regular and have loops, so they and their disjoint unions
