@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage or input error,
-3 = solver budget exhausted (INDETERMINATE), 4 = internal error.  solve,
-decompose and reduce witness take the node budget from the ANGLESET_BUDGET
-environment variable, read by `main`; for solve and reduce witness, which
-have a --budget option, that option takes precedence (decompose has none).
-A bad value, like a non-positive --budget, is a usage error.  `solve --algo`
-with a special solver exits 2 for a spec that solver does not decide.
+3 = solver budget exhausted (INDETERMINATE), 4 = internal error, which
+includes output that fails its own --verify self-check (solve, allocate,
+decompose).  decompose without a cover file solves as `solve --algo auto`
+does.  solve, decompose and reduce witness take the node budget from the
+ANGLESET_BUDGET environment variable, read by `main`; for solve and reduce
+witness, which have a --budget option, that option takes precedence
+(decompose has none).  A bad value, like a non-positive --budget, is a
+usage error.  `solve --algo` with a special solver exits 2 for a spec that
+solver does not decide.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import sys
 from .allocate import optimal_allocation
 from .core import (
     BASIC_SPEC,
+    Certificate,
     CoverSpec,
     MalformedAssignmentError,
     RotationGraph,
@@ -90,6 +94,36 @@ def _spec(args) -> CoverSpec:
     return CoverSpec(getattr(args, "angles", 1), getattr(args, "width", 2))
 
 
+def _solve(
+    g: RotationGraph, spec: CoverSpec, algo: str, budget: int
+) -> tuple[Certificate, CoverSpec]:
+    """Run `algo` on g; returns the certificate and the spec it answers.
+
+    `auto` runs the max-degree-4 solver, else the 2-SAT solver when no
+    vertex has degree 3, for the basic spec, and the oracle otherwise.
+    """
+    if algo == "auto":
+        if spec != BASIC_SPEC:
+            algo = "oracle"
+        elif g.max_degree() <= 4:
+            algo = "deg4"
+        elif all(g.deg(v) != 3 for v in g.vertices):
+            algo = "2sat"
+        else:
+            algo = "oracle"
+    if algo == "oracle":
+        return oracle_solve(g, spec, budget=budget), spec
+    if algo == "deg4":
+        return solve_deg4(g), spec
+    if algo == "2sat":
+        return solve_no_deg3(g), spec
+    if algo == "sextet":
+        top = g.max_degree()
+        delta = max(2, top + top % 2)  # the smallest valid even delta
+        return solve_sextet(g, delta), CoverSpec(delta // 2 - delta // 6, 2)
+    return solve_outerplane(g, budget=budget), spec
+
+
 def _cmd_solve(args) -> int:
     spec = _spec(args)
     algo = args.algo
@@ -102,28 +136,7 @@ def _cmd_solve(args) -> int:
             " from the maximum degree)"
         )
     g = _load_graph(args.file)
-    if algo == "auto":
-        if spec != BASIC_SPEC:
-            algo = "oracle"
-        elif g.max_degree() <= 4:
-            algo = "deg4"
-        elif all(g.deg(v) != 3 for v in g.vertices):
-            algo = "2sat"
-        else:
-            algo = "oracle"
-    if algo == "oracle":
-        cert = oracle_solve(g, spec, budget=args.budget)
-    elif algo == "deg4":
-        cert = solve_deg4(g)
-    elif algo == "2sat":
-        cert = solve_no_deg3(g)
-    elif algo == "sextet":
-        top = g.max_degree()
-        delta = max(2, top + top % 2)  # the smallest valid even delta
-        cert = solve_sextet(g, delta)
-        spec = CoverSpec(delta // 2 - delta // 6, 2)
-    else:  # outerplane
-        cert = solve_outerplane(g, budget=args.budget)
+    cert, spec = _solve(g, spec, algo, args.budget)
     if cert.verdict == "INDETERMINATE":
         print("INDETERMINATE: node budget exhausted", file=sys.stderr)
         return EXIT_INDETERMINATE
@@ -132,8 +145,7 @@ def _cmd_solve(args) -> int:
     if args.verify:
         chk = check_cover(g, cert.assignment, spec)
         if not chk.valid:
-            print(f"internal error: emitted cover fails check: {chk}", file=sys.stderr)
-            return EXIT_USAGE
+            raise RuntimeError(f"emitted cover fails check: {chk}")
     sys.stdout.write(serialize_cover(cert.assignment))
     return EXIT_YES
 
@@ -169,8 +181,7 @@ def _cmd_allocate(args) -> int:
     if args.verify:
         spec = CoverSpec(max(1, len(g.edges)), 2)
         if not check_cover(g, asg, spec).valid:
-            print("internal error: allocation fails check", file=sys.stderr)
-            return EXIT_USAGE
+            raise RuntimeError("allocation fails check")
     print(f"# size {size}")
     sys.stdout.write(serialize_cover(asg))
     return EXIT_YES
@@ -202,11 +213,7 @@ def _cmd_decompose(args) -> int:
     if args.coverfile:
         asg = parse_cover(_read(args.coverfile))
     else:
-        cert = (
-            solve_deg4(g)
-            if g.max_degree() <= 4
-            else oracle_solve(g, budget=args.budget)
-        )
+        cert, _ = _solve(g, BASIC_SPEC, "auto", args.budget)
         if cert.verdict == "INDETERMINATE":
             print("INDETERMINATE: node budget exhausted", file=sys.stderr)
             return EXIT_INDETERMINATE
@@ -218,12 +225,9 @@ def _cmd_decompose(args) -> int:
     if args.verify:
         chk = verify_decomposition(g, d)
         if not chk.valid:
-            print(
-                "internal error: decomposition fails verification: "
-                + "; ".join(chk.violations),
-                file=sys.stderr,
+            raise RuntimeError(
+                "decomposition fails verification: " + "; ".join(chk.violations)
             )
-            return EXIT_USAGE
     print("# layer 1")
     sys.stdout.write(serialize_instance(d.h))
     print("# layer 2")

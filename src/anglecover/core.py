@@ -15,7 +15,7 @@ an edge's two (vertex, slot) ends from it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import eq
 
@@ -146,16 +146,6 @@ def find(parent, x):
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
-
-
-def components(g: RotationGraph) -> dict[int, int]:
-    """Map each vertex to a representative of its connected component."""
-    parent = {v: v for v in g.vertices}
-    for u, v in g.edges.values():
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-    return {v: find(parent, v) for v in g.vertices}
 
 
 @dataclass(frozen=True)
@@ -344,7 +334,7 @@ def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> Cove
 @dataclass(frozen=True)
 class FaceData:
     faces: tuple[tuple[tuple[int, int], ...], ...]
-    component_genus: dict[int, int] = field(compare=False, default_factory=dict)
+    genus: int
 
     @property
     def num_faces(self) -> int:
@@ -352,26 +342,21 @@ class FaceData:
 
     @property
     def is_plane(self) -> bool:
-        return all(genus == 0 for genus in self.component_genus.values())
-
-    @property
-    def genus(self) -> int:
-        return sum(self.component_genus.values())
+        return self.genus == 0
 
 
 def trace_faces(g: RotationGraph) -> FaceData:
-    """Trace the faces of the combinatorial map and compute per-component genus.
+    """Trace the faces of the combinatorial map and compute its genus.
 
     Faces are dart cycles under "cross the edge, then turn to the next
-    rotation slot".  For each connected component,
-    genus = (2 - V + E - F) / 2; isolated vertices count one face.
+    rotation slot".  Summing Euler's formula over the C connected
+    components gives genus = (2C - V + E - F) / 2, where an isolated
+    vertex is a component with one face.
     """
     ix = g.dart_index
     first, vertex, twin = ix.first, ix.vertex, ix.twin
     n = len(twin)
-    comp = components(g)
     faces: list[tuple[tuple[int, int], ...]] = []
-    face_of_component: dict[int, int] = {}
     seen = bytearray(n)
     for start in range(n):
         if seen[start]:
@@ -388,19 +373,23 @@ def trace_faces(g: RotationGraph) -> FaceData:
             if d == n or vertex[d] != w:
                 d = first[w]
         faces.append(tuple(cycle))
-        root = comp[cycle[0][0]]
-        face_of_component[root] = face_of_component.get(root, 0) + 1
 
-    counts: dict[int, list[int]] = {}
+    # Components, each found by a breadth-first search from its first vertex.
+    reached: set[int] = set()
+    c = isolated = 0
     for v in g.vertices:
-        counts.setdefault(comp[v], [0, 0])[0] += 1
-    for u, _ in g.edges.values():
-        counts[comp[u]][1] += 1
-
-    component_genus = {}
-    for root, (nv, ne) in counts.items():
-        nf = face_of_component.get(root, 1 if ne == 0 else 0)
-        euler = nv - ne + nf
-        assert (2 - euler) % 2 == 0, "face tracing produced an odd Euler defect"
-        component_genus[root] = (2 - euler) // 2
-    return FaceData(tuple(faces), component_genus)
+        if v in reached:
+            continue
+        c += 1
+        isolated += not g.deg(v)
+        reached.add(v)
+        new = [v]
+        while new:
+            ends = []
+            for u in new:
+                ends += twin[first[u] : first[u] + g.deg(u)]
+            new = set(map(vertex.__getitem__, ends)) - reached
+            reached |= new
+    defect = 2 * c - len(g.vertices) + len(g.edges) - (len(faces) + isolated)
+    assert defect % 2 == 0, "face tracing produced an odd Euler defect"
+    return FaceData(tuple(faces), defect // 2)

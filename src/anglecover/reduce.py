@@ -272,6 +272,8 @@ def reduce_multi(g: Multigraph, a: int) -> RotationGraph:
     b, gmap = _build_gadgets(g)
     size = 4 * a + 1
     for v in sorted(gmap.centre):
+        if not gmap.edge_order[v]:
+            continue  # an isolated source vertex keeps a bare centre
         for k in range(3):
             for j in range(1, len(gmap.edge_order[v]) + 1):
                 host = gmap.e[(v, k, j)]
@@ -280,13 +282,22 @@ def reduce_multi(g: Multigraph, a: int) -> RotationGraph:
         # Between the colour-0 and colour-1 path edges.
         _attach_cliques(b, gmap.centre[v], 1, 2 * (a - 1), size)
     h = b.finish()
-    assert h.max_degree() == size
-    for v in gmap.centre:
-        assert h.deg(gmap.centre[v]) == 2 * a + 1
-        for key, host in gmap.e.items():
-            if key[0] == v and key[2] < len(gmap.edge_order[v]):
-                assert h.deg(host) == 2 * a + 3
+    _check_gadget_degrees(h, gmap, size, 2 * a + 1, 2 * a + 3)
     return h
+
+
+def _check_gadget_degrees(
+    h: RotationGraph, gmap: GadgetMap, top: int, centre: int, inner: int
+) -> None:
+    """Assert the output's maximum degree and, at every source vertex with
+    edges, the degree of its centre and of its inner path vertices (all
+    but the last of each path)."""
+    assert h.max_degree() == (top if gmap.cross_edges else 0)
+    for v, c in gmap.centre.items():
+        assert h.deg(c) == (centre if gmap.edge_order[v] else 0)
+    for (v, _, j), host in gmap.e.items():
+        if j < len(gmap.edge_order[v]):
+            assert h.deg(host) == inner
 
 
 @dataclass(frozen=True)
@@ -341,6 +352,8 @@ def reduce_2angle_deg8(g: Multigraph) -> RotationGraph:
     every centre gets two T copies between its first two path edges."""
     b, gmap = _build_gadgets(g)
     for v in sorted(gmap.centre):
+        if not gmap.edge_order[v]:
+            continue  # an isolated source vertex keeps a bare centre
         for k in range(3):
             for j in range(1, len(gmap.edge_order[v]) + 1):
                 host = gmap.e[(v, k, j)]
@@ -352,12 +365,7 @@ def reduce_2angle_deg8(g: Multigraph) -> RotationGraph:
         s3, s4 = _attach_t(b, c)
         b.rot[c][1:1] = [s1, s2, s3, s4]
     h = b.finish()
-    assert h.max_degree() == 8
-    for v in gmap.centre:
-        assert h.deg(gmap.centre[v]) == 7
-        for key, host in gmap.e.items():
-            if key[0] == v and key[2] < len(gmap.edge_order[v]):
-                assert h.deg(host) == 8
+    _check_gadget_degrees(h, gmap, 8, 7, 8)
     return h
 
 

@@ -13,7 +13,7 @@ pairing (`_walk_cover`); they differ only in the pairing.
 from __future__ import annotations
 
 import heapq
-from operator import eq, lt
+from operator import eq, lt, not_, or_
 
 from .core import (
     Angle,
@@ -62,9 +62,28 @@ def min_arc_cover(deg: int, slots, m: int) -> tuple[int, list[int]]:
     return len(best), best
 
 
-def _arcs_to_angles(v: int, deg: int, arcs, m: int) -> list[Angle]:
-    w = min(m, deg)
-    return [Angle(v, start, w) for start in arcs]
+def _cover(rows, m: int, a: int) -> Certificate:
+    """YES certificate from (vertex, per-slot mark row) pairs.
+
+    A slot is covered when its mark is 1.  Each row's covered slots get a
+    minimum cover by arcs of width min(m, deg), at most `a` of them,
+    computed once per distinct row.
+    """
+    angles: dict[int, tuple[Angle, ...]] = {}
+    arcs_of: dict[bytes, tuple[int, list[int]]] = {}  # row -> width, arc starts
+    for v, row in rows:
+        marks = bytes(row)
+        hit = arcs_of.get(marks)
+        if hit is None:
+            deg = len(marks)
+            slots = [s for s in range(deg) if marks[s] == 1]
+            count, arcs = min_arc_cover(deg, slots, m)
+            assert count <= a, "angle budget exceeded"
+            hit = arcs_of[marks] = (min(m, deg), arcs)
+        w, arcs = hit
+        if arcs:
+            angles[v] = tuple(Angle(v, s, w) for s in arcs)
+    return Certificate("YES", AngleAssignment(angles))
 
 
 def oracle_solve(
@@ -225,14 +244,14 @@ def oracle_solve(
             f"search succeeded with {len(options) - len(assigned)} edges"
             " undecided"
         )
-        angles: dict[int, list[Angle]] = {}
-        for v in sorted(free_used):
-            angles[v] = [Angle(v, 0, min(m, deg[v]))]
-        for v in sorted(g.vertices):
-            if committed[v]:
-                _, arcs = min_arc_cover(deg[v], committed[v], m)
-                angles.setdefault(v, []).extend(_arcs_to_angles(v, deg[v], arcs, m))
-        return Certificate("YES", AngleAssignment.build(angles))
+        # A free vertex covers all of its slots with the angle at slot 0.
+        for v in free_used:
+            committed[v].add(0)
+        rows = (
+            (v, bytes(s in committed[v] for s in range(deg[v])))
+            for v in sorted(g.vertices)
+        )
+        return _cover(rows, m, a)
     if nodes > budget:
         return Certificate("INDETERMINATE")
     return Certificate("NO")
@@ -309,19 +328,11 @@ def _walk_cover(g: RotationGraph, delta: int, partner, a: int) -> Certificate:
                 break
             d = nxt
 
-    angles: dict[int, list[Angle]] = {}
-    arcs_of: dict[bytes, list[int]] = {}  # a vertex's slot marks -> arc starts
-    for i, v in enumerate(sorted(g.vertices)):
-        deg = g.deg(v)
-        marks = bytes(used[delta * i : delta * i + deg])
-        arcs = arcs_of.get(marks)
-        if arcs is None:
-            outs = [s for s in range(deg) if marks[s] == 1]
-            count, arcs = min_arc_cover(deg, outs, 2)
-            assert count <= a, "angle budget exceeded"
-            arcs_of[marks] = arcs
-        angles[v] = _arcs_to_angles(v, deg, arcs, 2)
-    return Certificate("YES", AngleAssignment.build(angles))
+    rows = (
+        (v, used[delta * i : delta * i + g.deg(v)])
+        for i, v in enumerate(sorted(g.vertices))
+    )
+    return _cover(rows, 2, a)
 
 
 def solve_deg4(g: RotationGraph) -> Certificate:
@@ -400,28 +411,11 @@ def solve_no_deg3(g: RotationGraph) -> Certificate:
     comp = _tarjan_scc(adj)
     if any(map(eq, comp[0::2], comp[1::2])):
         return Certificate("NO")
-    model = list(map(lt, comp[0::2], comp[1::2]))
-
-    angles: dict[int, list[Angle]] = {}
-    for v in sorted(g.vertices):
-        d = g.deg(v)
-        if d == 0:
-            continue
-        if d <= 2:
-            angles[v] = [Angle(v, 0, min(2, d))]
-            continue
-        f = ix.first[v]
-        true_slots = [s for s in range(d) if model[f + s]]
-        if not true_slots:
-            continue
-        if len(true_slots) == 1:
-            start = true_slots[0]
-        else:
-            s1, s2 = true_slots
-            assert (s1 + 1) % d == s2 or (s2 + 1) % d == s1
-            start = s1 if (s1 + 1) % d == s2 else s2
-        angles[v] = [Angle(v, start, 2)]
-    return Certificate("YES", AngleAssignment.build(angles))
+    # Per dart, 1 if covered; a vertex of degree <= 2 covers all its darts.
+    model = bytes(map(or_, map(lt, comp[0::2], comp[1::2]), map(not_, high)))
+    first = ix.first
+    rows = ((v, model[first[v] : first[v] + g.deg(v)]) for v in sorted(g.vertices))
+    return _cover(rows, 2, 1)
 
 
 def _tarjan_scc(adj: list[list[int]]) -> list[int]:
@@ -525,8 +519,6 @@ def min_allocation_bruteforce(
 
     dfs(0, 0)
     slots = best_slots[0] or {}
-    angles: dict[int, list[Angle]] = {}
-    for v in sorted(slots):
-        _, arcs = min_arc_cover(deg[v], slots[v], m)
-        angles[v] = _arcs_to_angles(v, deg[v], arcs, m)
-    return best_size[0], AngleAssignment.build(angles)
+    rows = ((v, bytes(s in slots[v] for s in range(deg[v]))) for v in sorted(slots))
+    # No vertex holds more angles than the total.
+    return best_size[0], _cover(rows, m, best_size[0]).assignment

@@ -15,6 +15,7 @@ from anglecover.core import (
 from anglecover.fileio import parse_instance, serialize_instance
 from conftest import (
     complete_rotation_graph,
+    disjoint_union,
     reference_validate_graph,
     rotation_graph,
 )
@@ -264,3 +265,13 @@ def test_dart_index_rejects_edge_not_occurring_twice(edges, rotation):
         g.ends(0)
     with pytest.raises(UnsupportedInputError):
         trace_faces(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_graphs(), rotation_graphs())
+def test_genus_of_disjoint_union_is_the_sum(g, h):
+    parts = trace_faces(g), trace_faces(h)
+    union = trace_faces(disjoint_union(g, h))
+    assert union.genus == parts[0].genus + parts[1].genus >= 0
+    assert union.num_faces == parts[0].num_faces + parts[1].num_faces
+    assert union.is_plane == (parts[0].is_plane and parts[1].is_plane)

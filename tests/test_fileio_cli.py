@@ -10,6 +10,7 @@ from anglecover.cli import main
 from anglecover.core import (
     Angle,
     AngleAssignment,
+    CoverCheck,
     CoverSpec,
     RotationGraph,
     check_cover,
@@ -28,6 +29,7 @@ from anglecover.instances import (
     get_instance,
     instance_names,
 )
+from anglecover.thickness import DecompositionCheck
 from anglecover.transform import TopologicalGraph
 from conftest import K4_PLANE_ROTATION, complete_rotation_graph, rotation_graph
 
@@ -256,6 +258,19 @@ def test_cli_decompose(tmp_path, capsys):
     assert "# layer 1" in out and "# layer 2" in out
 
 
+def test_cli_decompose_solves_as_solve_auto(tmp_path, capsys):
+    # Maximum degree 5 and no degree-3 vertex: auto picks 2-SAT, whose
+    # cover differs from the oracle's.
+    star = rotation_graph([(0, i) for i in range(1, 6)])
+    f = write(tmp_path, "star.inst", serialize_instance(star))
+    assert main(["solve", f]) == 0
+    cover = write(tmp_path, "star.cov", capsys.readouterr().out)
+    assert main(["decompose", f, cover]) == 0
+    layers = capsys.readouterr().out
+    assert main(["decompose", f]) == 0
+    assert capsys.readouterr().out == layers
+
+
 def test_cli_reduce_and_resolve(tmp_path, capsys):
     tri = write(
         tmp_path,
@@ -265,6 +280,13 @@ def test_cli_reduce_and_resolve(tmp_path, capsys):
     assert main(["reduce", "3col", tri]) == 0
     reduced = write(tmp_path, "red.inst", capsys.readouterr().out)
     assert main(["solve", reduced]) == 0
+
+
+@pytest.mark.parametrize("variant", ["3col", "multi", "2angle8"])
+def test_cli_reduce_isolated_source_vertex(tmp_path, capsys, variant):
+    f = write(tmp_path, "tri.inst", "e 0 0 1\ne 1 1 2\ne 2 2 0\nv 3\n")
+    assert main(["reduce", variant, f]) == 0
+    assert validate_graph(parse_instance(capsys.readouterr().out)) == []
 
 
 def test_cli_reduce_witness_with_long_path(tmp_path, capsys):
@@ -352,6 +374,25 @@ def test_cli_internal_error_exits_4_with_one_line(tmp_path, monkeypatch, capsys)
     assert main(["solve", "--algo", "oracle", inst_file(tmp_path, "fig1")]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: solver fault second line\n"
+
+
+def test_cli_failed_self_check_exits_4(tmp_path, monkeypatch, capsys):
+    # A cover or decomposition that fails its own check is a fault of the
+    # program; it once exited 2, which reads as a usage error.
+    monkeypatch.setattr(
+        "anglecover.cli.check_cover", lambda *args: CoverCheck(False, (0,), ())
+    )
+    monkeypatch.setattr(
+        "anglecover.cli.verify_decomposition",
+        lambda *args: DecompositionCheck(False, ("layer 1 not plane",)),
+    )
+    f = inst_file(tmp_path, "fig1")
+    for command in ("solve", "allocate", "decompose"):
+        assert main([command, "--verify", f]) == 4, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: RuntimeError: ")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

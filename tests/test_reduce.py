@@ -125,6 +125,23 @@ def test_reduce_2angle_deg8_bounds():
     assert validate_graph(h) == []
 
 
+@pytest.mark.parametrize(
+    "reduce",
+    [lambda g: reduce_multi(g, 2), lambda g: reduce_multi(g, 3), reduce_2angle_deg8],
+    ids=["multi-a2", "multi-a3", "2angle8"],
+)
+def test_isolated_source_vertex_keeps_a_bare_centre(reduce):
+    # Blockers once hung on the isolated vertex's bare centre, and the
+    # centre-degree self-check failed.
+    h = reduce(complete_graph(3))
+    h_iso = reduce(multigraph(4, [(0, 1), (0, 2), (1, 2)]))
+    assert validate_graph(h_iso) == []
+    assert len(h_iso.vertices) == len(h.vertices) + 1
+    assert len(h_iso.edges) == len(h.edges)
+    assert [h_iso.deg(v) for v in h_iso.vertices].count(0) == 1
+    assert reduce(multigraph(2, [])).num_edges() == 0
+
+
 def test_reduce_wide_equivalence():
     spec = CoverSpec(1, 3)
     assert oracle_solve(reduce_wide(complete_graph(3), 3), spec).is_yes
