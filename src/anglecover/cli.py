@@ -4,12 +4,13 @@ Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage or input error,
 3 = solver budget exhausted (INDETERMINATE), 4 = internal error, which
 includes output that fails its own --verify self-check (solve, allocate,
 decompose).  decompose without a cover file solves as `solve --algo auto`
-does.  solve, decompose and reduce witness take the node budget from the
-ANGLESET_BUDGET environment variable, read by `main`; for solve and reduce
-witness, which have a --budget option, that option takes precedence
-(decompose has none).  A bad value, like a non-positive --budget, is a
-usage error.  `solve --algo` with a special solver exits 2 for a spec that
-solver does not decide.
+does.  solve, decompose and reduce witness take the search budget, a
+bound on the oracle's decisions plus conflicts, from the ANGLESET_BUDGET
+environment variable, read by `main`; for solve and reduce witness, which
+have a --budget option, that option takes precedence (decompose has
+none).  A bad value, like a non-positive --budget, is a usage error.
+`solve --algo` with a special solver exits 2 for a spec that solver does
+not decide.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _cmd_solve(args) -> int:
     g = _load_graph(args.file)
     cert, spec = _solve(g, spec, algo, args.budget)
     if cert.verdict == "INDETERMINATE":
-        print("INDETERMINATE: node budget exhausted", file=sys.stderr)
+        print("INDETERMINATE: search budget exhausted", file=sys.stderr)
         return EXIT_INDETERMINATE
     if cert.verdict == "NO":
         return EXIT_NO
@@ -215,7 +216,7 @@ def _cmd_decompose(args) -> int:
     else:
         cert, _ = _solve(g, BASIC_SPEC, "auto", args.budget)
         if cert.verdict == "INDETERMINATE":
-            print("INDETERMINATE: node budget exhausted", file=sys.stderr)
+            print("INDETERMINATE: search budget exhausted", file=sys.stderr)
             return EXIT_INDETERMINATE
         if cert.verdict == "NO":
             print("no cover; cannot decompose", file=sys.stderr)

@@ -15,7 +15,7 @@ an edge's two (vertex, slot) ends from it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import eq
 
@@ -203,10 +203,18 @@ class AngleAssignment:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Solver verdict plus, for YES, a validating assignment."""
+    """Solver verdict plus, for YES, a validating assignment.
+
+    The counters are the exhaustive search's (`solve.oracle_solve`), zero
+    for the other solvers; they take no part in comparisons.
+    """
 
     verdict: str  # "YES", "NO" or "INDETERMINATE"
     assignment: AngleAssignment | None = None
+    decisions: int = field(default=0, compare=False)
+    conflicts: int = field(default=0, compare=False)
+    learned: int = field(default=0, compare=False)  # clauses kept; units go to level 0
+    restarts: int = field(default=0, compare=False)
 
     @property
     def is_yes(self) -> bool:

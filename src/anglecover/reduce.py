@@ -516,37 +516,3 @@ def _build_witness_reduction(
     assert h.max_degree() <= 2 * a + 3
     return h
 
-
-def check_3colouring(g: Multigraph, colouring: dict[int, int]) -> bool:
-    """Proper-colouring check with colours in {0, 1, 2}."""
-    if any(colouring.get(v) not in (0, 1, 2) for v in g.vertices):
-        return False
-    return all(colouring[u] != colouring[v] for u, v in g.edges.values())
-
-
-def brute_3col(g: Multigraph, cap: int = 20) -> str:
-    """Exhaustive 3-colourability verdict ("YES"/"NO") for small graphs."""
-    verts = sorted(g.vertices)
-    if len(verts) > cap:
-        raise UnsupportedInputError(f"brute-force capped at {cap} vertices")
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in g.edges.values():
-        if u == v:
-            return "NO"
-        adj[u].append(v)
-        adj[v].append(u)
-    colour: dict[int, int] = {}
-
-    def go(i: int) -> bool:
-        if i == len(verts):
-            return True
-        v = verts[i]
-        for c in range(3):
-            if all(colour.get(w) != c for w in adj[v]):
-                colour[v] = c
-                if go(i + 1):
-                    return True
-                del colour[v]
-        return False
-
-    return "YES" if go(0) else "NO"

@@ -1,18 +1,19 @@
 """Cover-finding algorithms.
 
-Contains the exact backtracking oracle (with an allowance of uncovered
-edges, also the search behind `reduce.max_coverage`), the linear-time
-max-degree-4 solver, the 2-SAT solver for graphs without degree-3
-vertices, the sextet-based solver for even maximum degree, the outerplane
-entry point (an embedding check in front of the oracle), and a
-brute-force minimum-allocation search used as a testing oracle.  The
-max-degree-4 and sextet solvers are one closed walk with a fixed slot
-pairing (`_walk_cover`); they differ only in the pairing.
+Contains the exact oracle, a conflict-driven clause-learning search over
+dart literals (with an allowance of uncovered edges, also the search
+behind `reduce.max_coverage`), the linear-time max-degree-4 solver, the
+2-SAT solver for graphs without degree-3 vertices, the sextet-based
+solver for even maximum degree, and the outerplane entry point (an
+embedding check in front of the oracle).  The max-degree-4 and sextet
+solvers are one closed walk with a fixed slot pairing (`_walk_cover`);
+they differ only in the pairing.
 """
 
 from __future__ import annotations
 
-import heapq
+from dataclasses import replace
+from heapq import heappop, heappush
 from operator import eq, lt, not_, or_
 
 from .core import (
@@ -86,6 +87,19 @@ def _cover(rows, m: int, a: int) -> Certificate:
     return Certificate("YES", AngleAssignment(angles))
 
 
+# Reasons of the literals that the two lazily explained constraints imply.
+_VERTEX, _ALLOWANCE = "vertex", "allowance"
+RESTART_UNIT = 100  # conflicts per term of the Luby sequence
+ACTIVITY_DECAY = 0.95
+
+
+def _luby(i: int) -> int:
+    """Term i (from 1) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while (i + 1) & i:  # i is not 2^j - 1: drop the largest complete block
+        i -= (1 << (i.bit_length() - 1)) - 1
+    return (i + 1) >> 1
+
+
 def oracle_solve(
     g: RotationGraph,
     spec: CoverSpec = BASIC_SPEC,
@@ -93,168 +107,294 @@ def oracle_solve(
     forced: dict[int, int] | None = None,
     uncovered: int = 0,
 ) -> Certificate:
-    """Exhaustive decision of the (a, m) angle cover problem.
+    """Exact decision of the (a, m) angle cover problem by conflict-driven search.
 
-    Backtracks over per-edge coverer choices (each edge is covered from
-    exactly one endpoint slot; double coverage is never needed) with unit
-    propagation and per-vertex feasibility pruning via min_arc_cover, as a
-    loop over an explicit stack and one trail.  An assignment at v
-    re-propagates only the undecided edges at v, against a cached arc
-    count; the branch edge comes from a lazy heap.  `forced` optionally
-    pins edges to a covering endpoint.  With `uncovered` = k > 0, every
-    edge that is not pinned may also be left uncovered, tried first at a
-    branch and open while fewer than k edges have taken it, so a YES
-    leaves at most k edges uncovered.  Exceeding the node budget yields
-    an INDETERMINATE certificate, never a wrong verdict.
+    A literal is a dart, true when the dart's vertex covers its edge at
+    its slot.  With no allowance (`uncovered` = 0) an edge is one
+    variable, covered at exactly one end, so a dart's negation is its
+    twin.  With an allowance of k > 0 each dart is a variable, and an
+    edge is uncovered when both of its darts are false.  Two constraints
+    propagate without clauses and are explained only when conflict
+    analysis asks:
+    - the true darts at a vertex need at most `a` arcs of width
+      min(m, deg) (min_arc_cover, cached per slot set); at `a` arcs, a
+      dart that would need one more is false, explained by a greedily
+      minimised set of the darts that were true before it;
+    - at most k edges are uncovered; at k, an edge with one false dart is
+      covered by the other, explained by the k uncovered edges.
+    The search is CDCL with no randomness: 1-UIP learning, backjumping,
+    two watched literals per learned clause, VSIDS, phase saving and
+    Luby restarts.  A vertex of degree <= m covers its edges, and
+    `forced` pins edges to a covering endpoint, at level 0.  More than
+    `budget` decisions plus conflicts yield INDETERMINATE, never a
+    guessed verdict.  The certificate carries the search counters.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    a, m = spec.a, spec.m
+    a, m, k = spec.a, spec.m, uncovered
+    ix = g.dart_index
+    first, vertex, twin = ix.first, ix.vertex, ix.twin
+    n = len(twin)
+    # Literal d < n is dart d; with an allowance, literal n + d negates it.
+    # A variable is named by its lowest literal.
+    if k:
+        neg = [*range(n, 2 * n), *range(n)]
+        var = [*range(n), *range(n)]
+    else:
+        neg = twin
+        var = list(map(min, range(n), twin))
+    variables = [x for x in range(n) if var[x] == x]
     deg = {v: g.deg(v) for v in g.vertices}
     free = {v for v in g.vertices if 0 < deg[v] <= m}
+    # Per dart: its vertex's degree, its slot bit, and its vertex's slot-0
+    # dart when more than `a` arcs can be needed there (else -1).
+    dega = [deg[v] for v in vertex]
+    bit = [1 << (d - first[v]) for d, v in enumerate(vertex)]
+    home = [first[v] if dg > m and -(-dg // m) > a else -1 for v, dg in zip(vertex, dega)]
+    mask = [0] * n  # at a home dart: the true slots of its vertex
+    tables: dict[int, dict[int, list]] = {dg: {} for dg in dega}
 
-    # Options per edge: (vertex, slot) darts.  Edges with a free endpoint
-    # are covered there for free (a dominance-preserving simplification).
-    options: dict[int, list[tuple[int, int]]] = {}
-    free_used: set[int] = set()
-    for e in sorted(g.edges):
-        darts = list(g.ends(e))
-        if forced and e in forced:
-            darts = [d for d in darts if d[0] == forced[e]]
-            if not darts:
-                raise ValueError(f"edge {e} cannot be forced to vertex {forced[e]}")
-        free_side = [d for d in darts if d[0] in free]
-        if free_side:
-            free_used.add(free_side[0][0])
-            continue
-        options[e] = darts
-    # Branch choices: None, tried first, leaves the edge uncovered.
-    skip = [None] if uncovered else []
-    choices = {e: d if forced and e in forced else skip + d for e, d in options.items()}
-    left = uncovered  # edges that may still be left uncovered
+    def arcs(dg: int, mk: int) -> list:
+        """[arcs needed, forbidden slots or None] for the slot set mk."""
+        e = tables[dg].get(mk)
+        if e is None:
+            slots = [s for s in range(dg) if mk >> s & 1]
+            e = tables[dg][mk] = [min_arc_cover(dg, slots, m)[0], None]
+        return e
 
-    committed: dict[int, set[int]] = {v: set() for v in g.vertices}
-    mac = dict.fromkeys(g.vertices, 0)  # min_arc_cover count of committed[v]
-    assigned: dict[int, tuple[int, int] | None] = {}
-    incident: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for e, darts in options.items():
-        for w, _ in darts:
-            if e not in incident[w]:
-                incident[w].append(e)
+    val = [0] * len(neg)  # per literal: 1 true, -1 false, 0 open
+    # Per variable: level, trail index, reason, activity, literal to decide.
+    level, pos, reason, act = [0] * n, [0] * n, [None] * n, [0.0] * n
+    phase = [x if x < twin[x] else neg[x] for x in range(n)]
+    heap = [(0.0, x) for x in variables]  # VSIDS order: (-activity, variable)
+    watches: list[list[list[int]]] = [[] for _ in neg]
+    trail: list[int] = []
+    lim: list[int] = []  # trail length where each decision level starts
+    unc: list[int] = []  # the later false dart of each uncovered edge
+    qhead = 0
+    inc = 1.0
 
-    nodes = 0
-    trail: list[tuple[int, int]] = []  # (edge, previous mac of its vertex)
-    heap = [(0, e) for e in sorted(options)]  # lazy (branch key, edge)
+    def assign(p: int, why) -> None:
+        x = var[p]
+        val[p], val[neg[p]] = 1, -1
+        level[x], pos[x], reason[x] = len(lim), len(trail), why
+        trail.append(p)
+        if p < n and home[p] >= 0:
+            mask[home[p]] |= bit[p]
 
-    def key(e: int) -> int:
-        return min(mac[v] * deg[v] - len(committed[v]) for v, _ in options[e])
+    def vertex_clause(h: int, d: int, before: int) -> list[int]:
+        """Negations of the darts at home h that were true before trail
+        index `before`, greedily minimised (latest first) so that with dart
+        d, if d >= 0, they still need more than `a` arcs."""
+        dg = dega[h]
+        true = sorted(
+            (x for x in range(h, h + dg) if val[x] == 1 and pos[var[x]] < before),
+            key=lambda x: -pos[var[x]],
+        )
+        mk = sum(bit[x] for x in true) | (bit[d] if d >= 0 else 0)
+        keep = []
+        for x in true:
+            if arcs(dg, mk & ~bit[x])[0] > a:
+                mk &= ~bit[x]
+            else:
+                keep.append(neg[x])
+        return keep
 
-    def touch(v: int) -> None:
-        for f in incident[v]:
-            if f not in assigned:
-                heapq.heappush(heap, (key(f), f))
+    def uncovered_darts(j: int) -> list[int]:
+        return [x for d in unc[:j] for x in (d, twin[d])]
 
-    def feasible(v: int, s: int) -> bool:
-        # One more slot raises the arc count by at most one.
-        return mac[v] < a or min_arc_cover(deg[v], committed[v] | {s}, m)[0] <= a
+    def antecedent(p: int) -> list[int]:
+        """The false literals that implied the true literal p."""
+        why = reason[var[p]]
+        if why is _VERTEX:
+            return vertex_clause(home[neg[p]], neg[p], pos[var[p]])
+        return [twin[p], *uncovered_darts(k)] if why is _ALLOWANCE else why[1:]
 
-    def assign(e: int, d: tuple[int, int] | None):
-        nonlocal left
-        assigned[e] = d
-        if d is None:
-            trail.append((e, 0))
-            left -= 1
-            # The last allowance turns edges that relied on it into units.
-            return () if left else options
-        v, s = d
-        trail.append((e, mac[v]))
-        committed[v].add(s)
-        mac[v] = min_arc_cover(deg[v], committed[v], m)[0]
-        touch(v)
-        return incident[v]
+    def propagate() -> list[int] | None:
+        """Propagate the trail from qhead; a conflict clause, or None."""
+        nonlocal qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            q = neg[p]
+            ws = watches[q]
+            i = j = 0
+            while i < len(ws):
+                c = ws[i]
+                i += 1
+                if c[0] == q:
+                    c[0], c[1] = c[1], q
+                if val[c[0]] != 1:
+                    for t in range(2, len(c)):
+                        if val[c[t]] != -1:
+                            c[1], c[t] = c[t], q
+                            watches[c[1]].append(c)
+                            break
+                    else:
+                        if val[c[0]] == -1:
+                            del ws[j : i - 1]
+                            return c
+                        assign(c[0], c)
+                    if c[1] != q:
+                        continue
+                ws[j] = c
+                j += 1
+            del ws[j:]
+            h = home[p] if p < n else -1
+            if h >= 0:
+                dg, mk = dega[h], mask[h]
+                e = arcs(dg, mk)
+                if e[0] > a:
+                    return vertex_clause(h, -1, len(trail))
+                if e[0] == a:
+                    if e[1] is None:
+                        e[1] = [
+                            s for s in range(dg)
+                            if not mk >> s & 1 and arcs(dg, mk | 1 << s)[0] > a
+                        ]
+                    for s in e[1]:
+                        if not val[h + s]:
+                            assign(neg[h + s], _VERTEX)
+            elif p >= n:  # dart p - n is false, so its edge may be uncovered
+                d = p - n
+                t = twin[d]
+                if val[t] == -1 and pos[t] < pos[d]:
+                    unc.append(d)
+                    if len(unc) > k:
+                        return uncovered_darts(k + 1)
+                    if len(unc) == k:
+                        for x in range(n):
+                            if val[x] == -1 and not val[twin[x]]:
+                                assign(twin[x], _ALLOWANCE)
+                elif not val[t] and len(unc) == k:
+                    assign(t, _ALLOWANCE)
+        return None
 
-    def undo(mark: int) -> None:
-        nonlocal left
-        while len(trail) > mark:
-            e, old = trail.pop()
-            d = assigned.pop(e)
-            if d is None:
-                left += 1
-                heapq.heappush(heap, (key(e), e))
-                continue
-            v, s = d
-            committed[v].discard(s)
-            mac[v] = old
-            touch(v)
-
-    def propagate(edges) -> bool:
-        """Propagate units from `edges`; False on a conflict or budget overrun."""
-        nonlocal nodes
-        queue = list(edges)
-        while queue:
-            e = queue.pop()
-            if e in assigned:
-                continue
-            opts = [d for d in options[e] if feasible(*d)]
-            if left and choices[e][0] is None:
-                opts.append(None)
-            if len(opts) > 1:
-                continue
-            if not opts:
-                return False
-            nodes += 1
-            if nodes > budget:
-                return False
-            queue.extend(assign(e, opts[0]))
-        return True
-
-    # Frames [branch edge, next option, trail mark], each at a propagation
-    # fixpoint, so a branch at v only needs v's edges propagated.
-    stack: list[list[int]] = []
-    ok = propagate(options)
-    while True:
-        if ok:
-            # Branch at the most constrained vertex; compaction keeps the heap O(|E|).
-            if len(heap) > 4 * len(options):
-                heap[:] = [(key(e), e) for e in options if e not in assigned]
-                heapq.heapify(heap)
-            while heap and (heap[0][1] in assigned or heap[0][0] != key(heap[0][1])):
-                heapq.heappop(heap)
-            if not heap:
+    def analyze(confl: list[int]) -> tuple[list[int], int]:
+        """The 1-UIP clause, asserting literal first and a literal of the
+        next highest level second, and the level to jump back to."""
+        seen = set()
+        learnt = [0]
+        here, pending, i = len(lim), 0, len(trail)
+        clause = confl
+        while True:
+            for q in clause:
+                x = var[q]
+                if x in seen or not level[x]:
+                    continue
+                seen.add(x)
+                act[x] += inc
+                if level[x] == here:
+                    pending += 1
+                else:
+                    learnt.append(q)
+            i -= 1
+            while var[trail[i]] not in seen:
+                i -= 1
+            p = trail[i]
+            pending -= 1
+            if not pending:
                 break
-            stack.append([heap[0][1], 0, len(trail)])
-        elif not stack or nodes > budget:
-            break
-        frame = stack[-1]
-        branch, i, mark = frame
-        undo(mark)
-        opts = choices[branch]
-        while i < len(opts) and not (left if opts[i] is None else feasible(*opts[i])):
-            i += 1
-        if i == len(opts):
-            stack.pop()
-            ok = False
-            continue
-        frame[1] = i + 1
-        nodes += 1
-        ok = nodes <= budget and propagate(assign(branch, opts[i]))
+            clause = antecedent(p)
+        learnt[0] = neg[p]
+        if len(learnt) == 1:
+            return learnt, 0
+        top = max(range(1, len(learnt)), key=lambda j: level[var[learnt[j]]])
+        learnt[1], learnt[top] = learnt[top], learnt[1]
+        return learnt, level[var[learnt[1]]]
 
-    if ok:
-        assert len(assigned) == len(options), (
-            f"search succeeded with {len(options) - len(assigned)} edges"
-            " undecided"
-        )
+    def backjump(lv: int) -> None:
+        nonlocal qhead
+        if len(lim) <= lv:
+            return
+        cut = lim[lv]
+        while unc and pos[unc[-1]] >= cut:
+            unc.pop()
+        for p in trail[cut:]:
+            x = var[p]
+            val[p] = val[neg[p]] = 0
+            phase[x] = p
+            if p < n and home[p] >= 0:
+                mask[home[p]] &= ~bit[p]
+            heappush(heap, (-act[x], x))
+        del trail[cut:], lim[lv:]
+        qhead = cut
+        if len(heap) > 2 * len(variables) + 64:
+            rebuild_heap()
+
+    def rebuild_heap() -> None:
+        heap[:] = sorted((-act[x], x) for x in variables if not val[x])
+
+    # Level 0: an edge with a free candidate end is covered there, a
+    # forced edge at its forced end; with an allowance its other dart is
+    # false, and a forced loop is covered at one of its two darts.
+    for e in sorted(g.edges):
+        d = ix.dart_of[e]
+        ends = (d, twin[d]) if vertex[d] == g.edges[e][0] else (twin[d], d)
+        if forced and e in forced:
+            ends = tuple(x for x in ends if vertex[x] == forced[e])
+            if not ends:
+                raise ValueError(f"edge {e} cannot be forced to vertex {forced[e]}")
+        pick = next((x for x in ends if vertex[x] in free), ends[0] if len(ends) == 1 else None)
+        if pick is not None:
+            assign(pick, None)
+            if k:
+                assign(neg[twin[pick]], None)
+        elif len(ends) == 2 and forced and e in forced and k:
+            watches[d].append([d, twin[d]])
+            watches[twin[d]].append(watches[d][-1])
+
+    decisions = conflicts = learned = restarts = 0
+    next_restart = RESTART_UNIT * _luby(1)
+    while True:
+        confl = propagate()
+        if confl is not None:
+            if not lim:
+                verdict = "NO"
+                break
+            conflicts += 1
+            if decisions + conflicts > budget:
+                verdict = "INDETERMINATE"
+                break
+            clause, back = analyze(confl)
+            backjump(back)
+            if len(clause) > 1:
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
+                learned += 1
+            assign(clause[0], clause if len(clause) > 1 else None)
+            inc /= ACTIVITY_DECAY
+            if inc > 1e100:
+                act[:] = [x * 1e-100 for x in act]
+                inc *= 1e-100
+                rebuild_heap()
+            continue
+        if conflicts >= next_restart:
+            restarts += 1
+            next_restart = conflicts + RESTART_UNIT * _luby(restarts + 1)
+            backjump(0)
+        while heap and (val[heap[0][1]] or -heap[0][0] != act[heap[0][1]]):
+            heappop(heap)
+        if not heap:
+            verdict = "YES"
+            break
+        decisions += 1
+        if decisions + conflicts > budget:
+            verdict = "INDETERMINATE"
+            break
+        lim.append(len(trail))
+        assign(phase[heappop(heap)[1]], None)
+
+    stats = dict(decisions=decisions, conflicts=conflicts, learned=learned, restarts=restarts)
+    if verdict != "YES":
+        return Certificate(verdict, **stats)
+
+    def row(v: int) -> bytes:
         # A free vertex covers all of its slots with the angle at slot 0.
-        for v in free_used:
-            committed[v].add(0)
-        rows = (
-            (v, bytes(s in committed[v] for s in range(deg[v])))
-            for v in sorted(g.vertices)
-        )
-        return _cover(rows, m, a)
-    if nodes > budget:
-        return Certificate("INDETERMINATE")
-    return Certificate("NO")
+        marks = bytes(val[x] == 1 for x in range(first[v], first[v] + deg[v]))
+        return b"\1" * deg[v] if v in free and any(marks) else marks
+
+    return replace(_cover(((v, row(v)) for v in sorted(g.vertices)), m, a), **stats)
 
 
 # ---------------------------------------------------------------------------
@@ -481,44 +621,3 @@ def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate
         raise UnsupportedInputError("input is not outerplane")
     return oracle_solve(g, BASIC_SPEC, budget)
 
-
-def min_allocation_bruteforce(
-    g: RotationGraph, m: int = 2, cap: int = 18
-) -> tuple[int, AngleAssignment]:
-    """Exact minimum total angle count over all allocations (testing oracle).
-
-    Branch-and-bound over per-edge coverer choices; assigning each edge to
-    exactly one endpoint is optimal because min_arc_cover is monotone.
-    """
-    if g.num_edges() > cap:
-        raise UnsupportedInputError(f"instance above brute-force cap ({cap} edges)")
-    deg = {v: g.deg(v) for v in g.vertices}
-    edge_ids = sorted(g.edges)
-    options = {e: g.ends(e) for e in edge_ids}
-    committed: dict[int, set[int]] = {v: set() for v in g.vertices}
-    mac: dict[int, int] = {v: 0 for v in g.vertices}
-    best_size = [g.num_edges() + 1]
-    best_slots: list[dict[int, set[int]] | None] = [None]
-
-    def dfs(i: int, bound: int):
-        if bound >= best_size[0]:
-            return
-        if i == len(edge_ids):
-            best_size[0] = bound
-            best_slots[0] = {v: set(s) for v, s in committed.items() if s}
-            return
-        e = edge_ids[i]
-        for v, s in options[e]:
-            old = mac[v]
-            committed[v].add(s)
-            new, _ = min_arc_cover(deg[v], committed[v], m)
-            mac[v] = new
-            dfs(i + 1, bound - old + new)
-            mac[v] = old
-            committed[v].discard(s)
-
-    dfs(0, 0)
-    slots = best_slots[0] or {}
-    rows = ((v, bytes(s in slots[v] for s in range(deg[v]))) for v in sorted(slots))
-    # No vertex holds more angles than the total.
-    return best_size[0], _cover(rows, m, best_size[0]).assignment

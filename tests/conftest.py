@@ -1,4 +1,6 @@
-"""Shared test helpers: small graph builders and random generators."""
+"""Shared test helpers: small graph builders, random generators, and the
+exhaustive reference searches that the package's answers are tested
+against."""
 
 from __future__ import annotations
 
@@ -6,7 +8,8 @@ import itertools
 import random
 from collections import Counter
 
-from anglecover.core import RotationGraph
+from anglecover.core import Angle, AngleAssignment, RotationGraph, UnsupportedInputError
+from anglecover.solve import min_arc_cover
 from anglecover.transform import Multigraph
 
 
@@ -138,6 +141,81 @@ def naive_cover_search(g, spec):
 def naive_max_coverage(g, spec):
     """The most edges that any per-vertex covered-slot choice covers."""
     return max(_covered_counts(g, spec))
+
+
+def min_allocation_bruteforce(g, m=2, cap=18):
+    """Exact minimum total angle count over all allocations, and an
+    assignment that attains it.
+
+    Branch-and-bound over per-edge coverer choices; assigning each edge to
+    exactly one endpoint is optimal because min_arc_cover is monotone.
+    """
+    if g.num_edges() > cap:
+        raise UnsupportedInputError(f"instance above brute-force cap ({cap} edges)")
+    deg = {v: g.deg(v) for v in g.vertices}
+    edge_ids = sorted(g.edges)
+    options = {e: g.ends(e) for e in edge_ids}
+    committed = {v: set() for v in g.vertices}
+    mac = {v: 0 for v in g.vertices}
+    best_size = [g.num_edges() + 1]
+    best_slots = [{}]
+
+    def dfs(i, bound):
+        if bound >= best_size[0]:
+            return
+        if i == len(edge_ids):
+            best_size[0] = bound
+            best_slots[0] = {v: set(s) for v, s in committed.items() if s}
+            return
+        for v, s in options[edge_ids[i]]:
+            old = mac[v]
+            committed[v].add(s)
+            mac[v] = min_arc_cover(deg[v], committed[v], m)[0]
+            dfs(i + 1, bound - old + mac[v])
+            mac[v] = old
+            committed[v].discard(s)
+
+    dfs(0, 0)
+    angles = {
+        v: [Angle(v, s, min(m, deg[v])) for s in min_arc_cover(deg[v], slots, m)[1]]
+        for v, slots in best_slots[0].items()
+    }
+    return best_size[0], AngleAssignment.build(angles)
+
+
+def check_3colouring(g, colouring):
+    """Proper-colouring check with colours in {0, 1, 2}."""
+    if any(colouring.get(v) not in (0, 1, 2) for v in g.vertices):
+        return False
+    return all(colouring[u] != colouring[v] for u, v in g.edges.values())
+
+
+def brute_3col(g, cap=20):
+    """Exhaustive 3-colourability verdict ("YES"/"NO") for small graphs."""
+    verts = sorted(g.vertices)
+    if len(verts) > cap:
+        raise UnsupportedInputError(f"brute-force capped at {cap} vertices")
+    adj = {v: [] for v in verts}
+    for u, v in g.edges.values():
+        if u == v:
+            return "NO"
+        adj[u].append(v)
+        adj[v].append(u)
+    colour = {}
+
+    def go(i):
+        if i == len(verts):
+            return True
+        v = verts[i]
+        for c in range(3):
+            if all(colour.get(w) != c for w in adj[v]):
+                colour[v] = c
+                if go(i + 1):
+                    return True
+                del colour[v]
+        return False
+
+    return "YES" if go(0) else "NO"
 
 
 def reference_validate_graph(g):

@@ -18,9 +18,7 @@ from anglecover.instances import (
 )
 from anglecover.allocate import max_matching_general, optimal_allocation
 from anglecover.reduce import (
-    brute_3col,
     build_T,
-    check_3colouring,
     extract_3colouring,
     reduce_2angle_deg8,
     reduce_3col,
@@ -28,7 +26,6 @@ from anglecover.reduce import (
     reduce_wide,
 )
 from anglecover.solve import (
-    min_allocation_bruteforce,
     oracle_solve,
     solve_deg4,
     solve_no_deg3,
@@ -37,8 +34,11 @@ from anglecover.solve import (
 from anglecover.thickness import blowup_decomposition, verify_decomposition
 from anglecover.transform import Crossing, Multigraph, TopologicalGraph, medial_graph, planarize
 from conftest import (
+    brute_3col,
+    check_3colouring,
     complete_graph,
     complete_rotation_graph,
+    min_allocation_bruteforce,
     multigraph,
     random_fixed_degree_graph,
     random_rotation_graph,

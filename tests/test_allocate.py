@@ -10,9 +10,13 @@ from anglecover.allocate import (
 )
 from anglecover.core import CoverSpec, check_cover
 from anglecover.instances import gen_random_plane_deg4
-from anglecover.solve import min_allocation_bruteforce
 from anglecover.transform import medial_graph
-from conftest import multigraph, random_rotation_graph, rotation_graph
+from conftest import (
+    min_allocation_bruteforce,
+    multigraph,
+    random_rotation_graph,
+    rotation_graph,
+)
 
 
 def petersen():

@@ -13,9 +13,7 @@ from anglecover.core import (
 )
 from anglecover.reduce import (
     InvalidWitnessError,
-    brute_3col,
     build_T,
-    check_3colouring,
     extract_3colouring,
     max_coverage,
     reduce_2angle_deg8,
@@ -27,6 +25,8 @@ from anglecover.reduce import (
 from anglecover.solve import oracle_solve
 from anglecover.transform import Multigraph
 from conftest import (
+    brute_3col,
+    check_3colouring,
     complete_graph,
     multigraph,
     random_fixed_degree_graph,
@@ -233,6 +233,21 @@ def test_reduce_witness_degree_bound():
     sq = rotation_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
     h = reduce_witness(sq, w, 1)
     assert h.max_degree() <= 2 * 1 + 3
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [reduce_2angle_deg8, lambda g: reduce_multi(g, 2)],
+    ids=["2angle_deg8", "multi-a2"],
+)
+def test_two_angle_reductions_are_equivalences_on_k3_and_k4(reduce):
+    # K3 is 3-colourable and K4 is not; the oracle decides both outputs.
+    spec = CoverSpec(2, 2)
+    h = reduce(complete_graph(3))
+    cert = oracle_solve(h, spec)
+    assert cert.is_yes
+    assert check_cover(h, cert.assignment, spec).valid
+    assert oracle_solve(reduce(complete_graph(4)), spec).is_no
 
 
 def test_brute_3col_known_values():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,9 +19,9 @@ from anglecover.instances import (
     gen_regular,
     get_instance,
 )
-from anglecover.reduce import reduce_2angle_deg8
+from anglecover.fileio import serialize_cover
+from anglecover.reduce import reduce_2angle_deg8, reduce_3col, reduce_multi
 from anglecover.solve import (
-    min_allocation_bruteforce,
     min_arc_cover,
     oracle_solve,
     solve_deg4,
@@ -33,6 +34,7 @@ from conftest import (
     complete_graph,
     complete_rotation_graph,
     disjoint_union,
+    min_allocation_bruteforce,
     naive_cover_search,
     random_fixed_degree_graph,
     random_rotation_graph,
@@ -97,13 +99,54 @@ def test_oracle_budget_indeterminate():
 
 
 def test_oracle_budget_bounds_an_undecided_search():
-    # The degree-8 reduction of K3 is YES, but the oracle cannot decide it
-    # in reasonable time; a small budget must stop it with INDETERMINATE.
-    h = reduce_2angle_deg8(complete_graph(3))
+    # The degree-8 reduction of K4 is NO, and refuting it takes the
+    # search about 22k decisions plus conflicts; a small budget must stop
+    # it with INDETERMINATE.
+    h = reduce_2angle_deg8(complete_graph(4))
     t0 = time.perf_counter()
     cert = oracle_solve(h, CoverSpec(2, 2), budget=5000)
     assert cert.verdict == "INDETERMINATE"
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_oracle_certificate_counts_its_search():
+    h = reduce_2angle_deg8(complete_graph(3))
+    cert = oracle_solve(h, CoverSpec(2, 2))
+    assert cert.is_yes
+    assert cert.decisions > 0 and cert.restarts > 0
+    assert 0 < cert.learned <= cert.conflicts
+    # The counters take no part in comparisons.
+    assert cert == replace(cert, decisions=0, conflicts=0, learned=0, restarts=0)
+    # The budget counts decisions plus conflicts.
+    cut = oracle_solve(h, CoverSpec(2, 2), budget=100)
+    assert cut.verdict == "INDETERMINATE"
+    assert cut.decisions + cut.conflicts == 101
+    assert solve_deg4(gen_regular(10, 4, 0)).decisions == 0
+
+
+@pytest.mark.parametrize(
+    "make, spec, uncovered, verdict",
+    [
+        (lambda: reduce_2angle_deg8(complete_graph(3)), (2, 2), 0, "YES"),
+        (lambda: reduce_multi(complete_graph(4), 2), (2, 2), 0, "NO"),
+        (lambda: reduce_multi(complete_graph(4), 2), (2, 2), 1, "YES"),
+        (lambda: reduce_3col(complete_graph(5))[0], (1, 2), 1, "NO"),
+    ],
+    ids=["deg8-K3", "multi-K4", "multi-K4-allowance", "3col-K5-allowance"],
+)
+def test_oracle_is_deterministic(make, spec, uncovered, verdict):
+    # Each case needs conflicts and restarts, so learning, VSIDS ties and
+    # the restart schedule all take part; two runs must agree exactly.
+    g, spec = make(), CoverSpec(*spec)
+    runs = [oracle_solve(g, spec, uncovered=uncovered) for _ in range(2)]
+    counts = [(c.decisions, c.conflicts, c.learned, c.restarts) for c in runs]
+    assert [c.verdict for c in runs] == [verdict] * 2
+    assert counts[0] == counts[1] and counts[0][3] > 0
+    if verdict == "YES":
+        covers = [serialize_cover(c.assignment) for c in runs]
+        assert covers[0] == covers[1]
+        chk = check_cover(g, runs[0].assignment, spec)
+        assert not chk.violations and len(chk.uncovered_edges) <= uncovered
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
