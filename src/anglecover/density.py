@@ -1,21 +1,28 @@
-"""Low-edge-density test via maximum bipartite matching.
+"""Low-edge-density test as a capacity-2 orientation.
 
 A graph has low edge density when every k-vertex subgraph has at most 2k
-edges; equivalently, the bipartite graph between edges and doubled
-vertices has a matching saturating the edge side (found and certified
-maximum by `allocate.maximum_matching`, via the Tutte-Berge formula).
-When it does not, a violating vertex set is extracted from the final
-alternating-reachability structure.
+edges.  By Hakimi's theorem this holds exactly when every edge can be
+given to one of its endpoints so that no vertex holds more than two
+(a loop goes to its one vertex).  `check_low_density` builds such an
+assignment on the graph itself: a greedy pass, then one breadth-first
+path reversal per edge the greedy pass could not place.  When an edge
+stays unplaced, the vertices reachable from the unplaced edges span
+more than twice as many edges as they have vertices, and that set is
+the witness.
+
+`max_bipartite_matching` is the same question asked of the
+edge/doubled-vertex bipartite graph (`transform.build_gmat`) through the
+package's blossom engine.  The density test no longer uses it; it stays
+as an independent reference.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .allocate import maximum_matching
 from .core import RotationGraph
-from .transform import BipartiteGraph, build_gmat
+from .transform import BipartiteGraph
 
 
 def max_bipartite_matching(b: BipartiteGraph) -> dict:
@@ -33,7 +40,7 @@ def max_bipartite_matching(b: BipartiteGraph) -> dict:
 @dataclass(frozen=True)
 class DensityReport:
     low_density: bool
-    matching: dict
+    matching: dict  # edge -> (vertex, copy 0 or 1) for every placed edge
     witness: frozenset | None = None
 
 
@@ -41,32 +48,102 @@ def check_low_density(g: RotationGraph) -> DensityReport:
     """Decide low edge density; on failure produce a vertex set S with
     |E(S)| > 2|S|.
 
-    With a deficient matching, the edges alternating-reachable from an
-    unmatched edge node form a set A whose bipartite neighbourhood is
-    exactly both copies of every endpoint, so those endpoints S satisfy
-    |E(S)| >= |A| > |N(A)| = 2|S|.
+    Hakimi (1965): the edges can be oriented with in-degree at most 2
+    everywhere iff no vertex set S spans more than 2|S| edges.  Here a
+    vertex "holds" the edges directed into it.  Each edge in sorted order
+    first goes to its less-loaded endpoint if that one holds fewer than
+    two.  Each deferred edge then gets one breadth-first search from its
+    endpoints: a vertex x holding f = (x, y) steps to y, since f could
+    move there, and reaching a vertex with spare room reverses the path.
+    A failed search visited a set that is full and closed under those
+    steps; no later reversal can enter it, so it is never searched again.
+    Once every edge has been tried, no unplaced edge can be placed by any
+    reversal: the assignment places as many edges as possible.
+
+    The witness S is the set reachable from the endpoints of the
+    unplaced edges by the same steps.  Every vertex of S is full and
+    every edge it holds lies in S, so E(S) has the 2|S| held edges plus
+    the unplaced ones.  As a matching of edges to vertex copies, S is the
+    endpoint set of the edges alternating-reachable from the unmatched
+    ones, which is the same for every maximum matching (Dulmage and
+    Mendelsohn), so the witness does not depend on the search order.
+
+    The `matching` map gives each placed edge its vertex and a copy, 0 or
+    1, numbered in edge order among the edges that vertex holds.
     """
-    b = build_gmat(g)
-    matching = max_bipartite_matching(b)
-    if len(matching) == len(b.left):
+    verts = list(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    eids = sorted(g.edges)
+    pairs = [g.edges[e] for e in eids]
+    # Edge f joins tail[f] and xo[f] ^ tail[f]; its other end seen from
+    # either end x is xo[f] ^ x (x itself for a loop).
+    tail = [index[u] for u, _ in pairs]
+    xo = [index[u] ^ index[v] for u, v in pairs]
+    n = len(verts)
+    load = [0] * n
+    held = [-1] * (2 * n)  # slots 2x and 2x + 1: the edges x holds
+    deferred = []
+    for f, u in enumerate(tail):
+        v = xo[f] ^ u
+        if load[v] < load[u]:
+            u = v
+        if load[u] < 2:
+            held[2 * u + load[u]] = f
+            load[u] += 1
+        else:
+            deferred.append(f)
+
+    spare = load.count(0) + load.count(1)
+    dead = [False] * n
+    seen = [0] * n  # the search that last visited each vertex
+    via = [-1] * n  # the held edge a search stepped along into each vertex
+    unplaced = []
+    for search, f in enumerate(deferred, 1):
+        u = tail[f]
+        queue = [] if not spare else [x for x in {u, xo[f] ^ u} if not dead[x]]
+        for x in queue:
+            seen[x], via[x] = search, -1
+        for x in queue:
+            if load[x] < 2:
+                break
+            for h in held[2 * x], held[2 * x + 1]:
+                y = xo[h] ^ x
+                if seen[y] != search and not dead[y]:
+                    seen[y], via[y] = search, h
+                    queue.append(y)
+        else:
+            for x in queue:
+                dead[x] = True
+            unplaced.append(f)
+            continue
+        # Reverse the path into x: each edge on it moves one step on,
+        # into the slot its successor vacated, and f takes the first.
+        s = 2 * x + load[x]
+        load[x] += 1
+        spare -= load[x] == 2
+        while via[x] >= 0:
+            h = held[s] = via[x]
+            x ^= xo[h]
+            s = 2 * x + (held[2 * x] != h)
+        held[s] = f
+
+    matching = {}
+    for x, v in enumerate(verts):
+        mine = sorted(eids[h] for h in held[2 * x : 2 * x + 2] if h >= 0)
+        for c, e in enumerate(mine):
+            matching[e] = (v, c)
+    if not unplaced:
         return DensityReport(True, matching)
 
-    adj: dict = {l: [] for l in b.left}
-    for l, r in b.edges:
-        adj[l].append(r)
-    pair_right = {r: l for l, r in matching.items()}
-    reachable = {l for l in b.left if l not in matching}
-    queue = deque(reachable)
-    while queue:
-        l = queue.popleft()
-        for r in adj[l]:
-            other = pair_right.get(r)
-            if other is not None and other not in reachable:
-                reachable.add(other)
-                queue.append(other)
-    witness = frozenset(w for e in reachable for w in g.edges[e])
-    inside = sum(
-        1 for u, v in g.edges.values() if u in witness and v in witness
-    )
-    assert inside > 2 * len(witness), "extracted witness fails its inequality"
+    inside = {x for f in unplaced for x in (tail[f], xo[f] ^ tail[f])}
+    queue = list(inside)
+    for x in queue:
+        for h in held[2 * x], held[2 * x + 1]:
+            y = xo[h] ^ x
+            if y not in inside:
+                inside.add(y)
+                queue.append(y)
+    witness = frozenset(verts[x] for x in inside)
+    spanned = sum(1 for u, v in g.edges.values() if u in witness and v in witness)
+    assert spanned > 2 * len(witness), "extracted witness fails its inequality"
     return DensityReport(False, matching, witness)

@@ -125,9 +125,11 @@ def oracle_solve(
     The search is CDCL with no randomness: 1-UIP learning, backjumping,
     two watched literals per learned clause, VSIDS, phase saving and
     Luby restarts.  A vertex of degree <= m covers its edges, and
-    `forced` pins edges to a covering endpoint, at level 0.  More than
-    `budget` decisions plus conflicts yield INDETERMINATE, never a
-    guessed verdict.  The certificate carries the search counters.
+    `forced` pins edges to a covering endpoint, at level 0.  More edges
+    to cover than the Σ_v min(deg v, a·m) slots the vertices can cover is
+    a NO before the first decision.  More than `budget` decisions plus
+    conflicts yield INDETERMINATE, never a guessed verdict.  The
+    certificate carries the search counters.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -343,6 +345,12 @@ def oracle_solve(
         elif len(ends) == 2 and forced and e in forced and k:
             watches[d].append([d, twin[d]])
             watches[twin[d]].append(watches[d][-1])
+
+    # A covered edge takes a slot of its own and a vertex covers at most
+    # min(deg, a * m) slots, so more than that many edges to cover is a
+    # NO without a search.
+    if len(g.edges) - k > sum(min(dg, a * m) for dg in deg.values()):
+        return Certificate("NO")
 
     decisions = conflicts = learned = restarts = 0
     next_restart = RESTART_UNIT * _luby(1)

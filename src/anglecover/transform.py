@@ -1,8 +1,10 @@
 """Structure-preserving graph transforms.
 
 Planarization of topological graphs (crossings become degree-4 vertices),
-the medial graph, the bipartite edge/vertex-copies graph used by the
-density test, and the 2-blowup.
+the medial graph, the 2-blowup, and the bipartite edge/vertex-copies
+graph.  The density test no longer builds that graph (it orients the
+graph itself); `build_gmat` stays as the matching-based reference that
+the tests check it against.
 """
 
 from __future__ import annotations
@@ -201,7 +203,11 @@ def medial_graph(
 
 def build_gmat(g: RotationGraph) -> BipartiteGraph:
     """Bipartite graph: edges of g on the left, two copies of each vertex
-    on the right, (e, v-copy) adjacent iff v is an endpoint of e."""
+    on the right, (e, v-copy) adjacent iff v is an endpoint of e.
+
+    A reference only: g has low edge density iff this graph has a
+    matching saturating its left side, which `density.check_low_density`
+    decides without building it."""
     left = tuple(sorted(g.edges))
     right = tuple((v, c) for v in sorted(g.vertices) for c in (0, 1))
     pairs = []

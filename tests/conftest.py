@@ -9,8 +9,9 @@ import random
 from collections import Counter
 
 from anglecover.core import Angle, AngleAssignment, RotationGraph, UnsupportedInputError
+from anglecover.density import max_bipartite_matching
 from anglecover.solve import min_arc_cover
-from anglecover.transform import Multigraph
+from anglecover.transform import Multigraph, build_gmat
 
 
 def rotation_graph(edge_pairs, rotations=None, n=None):
@@ -181,6 +182,41 @@ def min_allocation_bruteforce(g, m=2, cap=18):
         for v, slots in best_slots[0].items()
     }
     return best_size[0], AngleAssignment.build(angles)
+
+
+def brute_low_density(g):
+    """Whether every vertex subset S spans at most 2|S| edges, by trying
+    every subset."""
+    verts = sorted(g.vertices)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    ends = [bit[u] | bit[v] for u, v in g.edges.values()]
+    return all(
+        sum(e & s == e for e in ends) <= 2 * bin(s).count("1")
+        for s in range(1 << len(verts))
+    )
+
+
+def matching_density_witness(g):
+    """The density witness from a maximum matching of the edge/doubled-
+    vertex graph: the endpoints of the edges alternating-reachable from
+    the unmatched ones (None when every edge is matched)."""
+    b = build_gmat(g)
+    matching = max_bipartite_matching(b)
+    if len(matching) == len(b.left):
+        return None
+    adj = {l: [] for l in b.left}
+    for l, r in b.edges:
+        adj[l].append(r)
+    pair_right = {r: l for l, r in matching.items()}
+    reachable = [l for l in b.left if l not in matching]
+    seen = set(reachable)
+    for l in reachable:
+        for r in adj[l]:
+            other = pair_right.get(r)
+            if other is not None and other not in seen:
+                seen.add(other)
+                reachable.append(other)
+    return frozenset(w for e in seen for w in g.edges[e])
 
 
 def check_3colouring(g, colouring):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,13 @@ from anglecover.density import check_low_density, max_bipartite_matching
 from anglecover.fileio import serialize_instance
 from anglecover.instances import gen_henneberg_laman, random_henneberg_steps
 from anglecover.transform import BipartiteGraph, build_gmat
-from conftest import complete_rotation_graph, random_rotation_graph, rotation_graph
+from conftest import (
+    brute_low_density,
+    complete_rotation_graph,
+    matching_density_witness,
+    random_rotation_graph,
+    rotation_graph,
+)
 
 
 def test_matching_small_bipartite():
@@ -106,3 +113,56 @@ def test_long_augmenting_path(tmp_path, capsys):
     f.write_text(serialize_instance(g))
     assert main(["density", str(f)]) == 0
     assert capsys.readouterr().out == "low-density: yes\n"
+
+
+def test_density_matches_subset_search_and_matching_witness():
+    rng = random.Random(12)
+    answers = set()
+    for _ in range(1000):
+        g = random_rotation_graph(rng, n_max=7, e_max=18, loops=True)
+        rep = check_low_density(g)
+        assert rep.low_density == brute_low_density(g)
+        answers.add(rep.low_density)
+        if rep.low_density:
+            # Every edge holds its own copy of one of its endpoints.
+            assert sorted(rep.matching) == sorted(g.edges)
+            assert all(rep.matching[e][0] in ends for e, ends in g.edges.items())
+            assert all(c in (0, 1) for _, c in rep.matching.values())
+            assert len(set(rep.matching.values())) == len(g.edges)
+        else:
+            assert rep.witness == matching_density_witness(g)
+    assert answers == {True, False}
+
+
+def test_cli_density_witness_is_the_dense_part(tmp_path, capsys):
+    # K6 with a 50-vertex path hanging from vertex 5: only K6 is dense.
+    pairs = list(itertools.combinations(range(6), 2))
+    pairs += [(v, v + 1) for v in range(5, 55)]
+    f = tmp_path / "k6-path.inst"
+    f.write_text(serialize_instance(rotation_graph(pairs)))
+    assert main(["density", str(f)]) == 1
+    assert capsys.readouterr().out == "low-density: no\nwitness: 0 1 2 3 4 5\n"
+    f = tmp_path / "edgeless.inst"
+    f.write_text(serialize_instance(rotation_graph([], n=4)))
+    assert main(["density", str(f)]) == 0
+    assert capsys.readouterr().out == "low-density: yes\n"
+
+
+def test_failed_search_region_is_not_searched_again():
+    # 5000 parallel edges on {0, 1}, and a 5000-vertex path from vertex 1:
+    # all but a handful of the parallel edges stay unplaced, and each
+    # must cost constant time once {0, 1} has failed.
+    pairs = [(0, 1)] * 5000 + [(v, v + 1) for v in range(1, 5001)]
+    t0 = time.perf_counter()
+    rep = check_low_density(rotation_graph(pairs))
+    assert time.perf_counter() - t0 < 1.0
+    assert not rep.low_density and rep.witness == frozenset({0, 1})
+    # Vertex 1 first holds the edge into a full doubled 5000-cycle, so a
+    # failed search from {0, 1} crosses the whole cycle; the isolated
+    # vertex 5002 keeps spare room in the graph, so only the dead-set rule
+    # keeps the 4997 later searches from crossing it again.
+    cycle = [(v, 2 + (v - 1) % 5000) for v in range(2, 5002) for _ in range(2)]
+    t0 = time.perf_counter()
+    rep = check_low_density(rotation_graph([(1, 2)] + [(0, 1)] * 5000 + cycle, n=5003))
+    assert time.perf_counter() - t0 < 1.0
+    assert not rep.low_density and rep.witness == frozenset(range(5002))

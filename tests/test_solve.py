@@ -94,7 +94,9 @@ def test_oracle_on_figure_corpus():
 
 
 def test_oracle_budget_indeterminate():
-    g = complete_rotation_graph(8)
+    # fig2a is a NO that takes one decision and one conflict.  A clique
+    # such as K8 would not do: its slot count is a NO before any decision.
+    g = get_instance("fig2a").graph
     assert oracle_solve(g, BASIC_SPEC, budget=1).verdict == "INDETERMINATE"
 
 
@@ -147,6 +149,17 @@ def test_oracle_is_deterministic(make, spec, uncovered, verdict):
         assert covers[0] == covers[1]
         chk = check_cover(g, runs[0].assignment, spec)
         assert not chk.violations and len(chk.uncovered_edges) <= uncovered
+
+
+def test_oracle_counts_slots_before_searching():
+    # 60 edges, 24 vertices with min(5, 1 * 2) = 2 coverable slots each:
+    # leaving 11 uncovered still needs 49 > 48 slots.
+    g = gen_regular(24, 5, 4)
+    cert = oracle_solve(g, CoverSpec(1, 2), budget=20000, uncovered=11)
+    assert cert.is_no and cert.decisions == cert.conflicts == 0
+    # At 12 uncovered the count no longer decides it: the search runs.
+    cert = oracle_solve(g, CoverSpec(1, 2), budget=1, uncovered=12)
+    assert cert.verdict == "INDETERMINATE"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
