@@ -141,10 +141,7 @@ def optimal_allocation(g: RotationGraph) -> tuple[AngleAssignment, int]:
     """
     med, provenance = medial_graph(g)
     matching = max_matching_general(med)
-    pair_to_id = {}
-    for mid, (e1, e2) in med.edges.items():
-        pair_to_id[(e1, e2)] = mid
-        pair_to_id[(e2, e1)] = mid
+    pair_to_id = {pair: mid for mid, pair in med.edges.items()}
 
     angles: dict[int, list[Angle]] = {}
     covered: set[int] = set()

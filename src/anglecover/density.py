@@ -6,7 +6,7 @@ given to one of its endpoints so that no vertex holds more than two
 (a loop goes to its one vertex).  `check_low_density` builds such an
 assignment on the graph itself: a greedy pass, then one breadth-first
 path reversal per edge the greedy pass could not place.  When an edge
-stays unplaced, the vertices reachable from the unplaced edges span
+stays unplaced, the vertices that the failed searches visited span
 more than twice as many edges as they have vertices, and that set is
 the witness.
 
@@ -56,13 +56,17 @@ def check_low_density(g: RotationGraph) -> DensityReport:
     endpoints: a vertex x holding f = (x, y) steps to y, since f could
     move there, and reaching a vertex with spare room reverses the path.
     A failed search visited a set that is full and closed under those
-    steps; no later reversal can enter it, so it is never searched again.
-    Once every edge has been tried, no unplaced edge can be placed by any
-    reversal: the assignment places as many edges as possible.
+    steps; no later reversal can enter it, so it is marked dead and never
+    searched again, and an edge with both endpoints dead stays unplaced
+    at once.  Once every edge has been tried, no unplaced edge can be
+    placed by any reversal: the assignment places as many edges as
+    possible.
 
-    The witness S is the set reachable from the endpoints of the
-    unplaced edges by the same steps.  Every vertex of S is full and
-    every edge it holds lies in S, so E(S) has the 2|S| held edges plus
+    The witness S is the dead set.  Each dead vertex was reached from
+    the endpoints of the unplaced edge whose search failed there, and
+    the dead set is closed, so S is the set reachable from the endpoints
+    of the unplaced edges by the same steps.  Every vertex of S is full
+    and every edge it holds lies in S, so E(S) has the 2|S| held edges plus
     the unplaced ones.  As a matching of edges to vertex copies, S is the
     endpoint set of the edges alternating-reachable from the unmatched
     ones, which is the same for every maximum matching (Dulmage and
@@ -93,14 +97,12 @@ def check_low_density(g: RotationGraph) -> DensityReport:
         else:
             deferred.append(f)
 
-    spare = load.count(0) + load.count(1)
     dead = [False] * n
     seen = [0] * n  # the search that last visited each vertex
     via = [-1] * n  # the held edge a search stepped along into each vertex
-    unplaced = []
     for search, f in enumerate(deferred, 1):
         u = tail[f]
-        queue = [] if not spare else [x for x in {u, xo[f] ^ u} if not dead[x]]
+        queue = [x for x in {u, xo[f] ^ u} if not dead[x]]
         for x in queue:
             seen[x], via[x] = search, -1
         for x in queue:
@@ -114,13 +116,11 @@ def check_low_density(g: RotationGraph) -> DensityReport:
         else:
             for x in queue:
                 dead[x] = True
-            unplaced.append(f)
             continue
         # Reverse the path into x: each edge on it moves one step on,
         # into the slot its successor vacated, and f takes the first.
         s = 2 * x + load[x]
         load[x] += 1
-        spare -= load[x] == 2
         while via[x] >= 0:
             h = held[s] = via[x]
             x ^= xo[h]
@@ -132,18 +132,9 @@ def check_low_density(g: RotationGraph) -> DensityReport:
         mine = sorted(eids[h] for h in held[2 * x : 2 * x + 2] if h >= 0)
         for c, e in enumerate(mine):
             matching[e] = (v, c)
-    if not unplaced:
+    witness = frozenset(v for v, d in zip(verts, dead) if d)
+    if not witness:
         return DensityReport(True, matching)
-
-    inside = {x for f in unplaced for x in (tail[f], xo[f] ^ tail[f])}
-    queue = list(inside)
-    for x in queue:
-        for h in held[2 * x], held[2 * x + 1]:
-            y = xo[h] ^ x
-            if y not in inside:
-                inside.add(y)
-                queue.append(y)
-    witness = frozenset(verts[x] for x in inside)
     spanned = sum(1 for u, v in g.edges.values() if u in witness and v in witness)
     assert spanned > 2 * len(witness), "extracted witness fails its inequality"
     return DensityReport(False, matching, witness)

@@ -6,7 +6,7 @@ behind `reduce.max_coverage`), the linear-time max-degree-4 solver, the
 2-SAT solver for graphs without degree-3 vertices, the sextet-based
 solver for even maximum degree, and the outerplane entry point (an
 embedding check in front of the oracle).  The max-degree-4 and sextet
-solvers are one closed walk with a fixed slot pairing (`_walk_cover`);
+solvers are one slot-pairing walk on the dart index (`_walk_cover`);
 they differ only in the pairing.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from heapq import heappop, heappush
+from itertools import chain
 from operator import eq, lt, not_, or_
 
 from .core import (
@@ -63,24 +64,26 @@ def min_arc_cover(deg: int, slots, m: int) -> tuple[int, list[int]]:
     return len(best), best
 
 
-def _cover(rows, m: int, a: int) -> Certificate:
-    """YES certificate from (vertex, per-slot mark row) pairs.
+def _cover(g: RotationGraph, marks, m: int, a: int) -> Certificate:
+    """YES certificate from one mark per dart of `g.dart_index`.
 
-    A slot is covered when its mark is 1.  Each row's covered slots get a
-    minimum cover by arcs of width min(m, deg), at most `a` of them,
-    computed once per distinct row.
+    A slot is covered when its dart's mark is 1.  Each vertex's covered
+    slots get a minimum cover by arcs of width min(m, deg), at most `a`
+    of them, computed once per distinct row of marks.
     """
+    first = g.dart_index.first
+    marks = bytes(marks)
     angles: dict[int, tuple[Angle, ...]] = {}
     arcs_of: dict[bytes, tuple[int, list[int]]] = {}  # row -> width, arc starts
-    for v, row in rows:
-        marks = bytes(row)
-        hit = arcs_of.get(marks)
+    for v in sorted(g.vertices):
+        deg = g.deg(v)
+        row = marks[first[v] : first[v] + deg]
+        hit = arcs_of.get(row)
         if hit is None:
-            deg = len(marks)
-            slots = [s for s in range(deg) if marks[s] == 1]
+            slots = [s for s in range(deg) if row[s] == 1]
             count, arcs = min_arc_cover(deg, slots, m)
             assert count <= a, "angle budget exceeded"
-            hit = arcs_of[marks] = (min(m, deg), arcs)
+            hit = arcs_of[row] = (min(m, deg), arcs)
         w, arcs = hit
         if arcs:
             angles[v] = tuple(Angle(v, s, w) for s in arcs)
@@ -397,102 +400,69 @@ def oracle_solve(
     if verdict != "YES":
         return Certificate(verdict, **stats)
 
-    def row(v: int) -> bytes:
-        # A free vertex covers all of its slots with the angle at slot 0.
-        marks = bytes(val[x] == 1 for x in range(first[v], first[v] + deg[v]))
-        return b"\1" * deg[v] if v in free and any(marks) else marks
-
-    return replace(_cover(((v, row(v)) for v in sorted(g.vertices)), m, a), **stats)
+    # A free vertex covers all of its slots with the angle at slot 0.
+    marks = bytearray(val[x] == 1 for x in range(n))
+    for v in free:
+        f, dg = first[v], deg[v]
+        if any(marks[f : f + dg]):
+            marks[f : f + dg] = b"\1" * dg
+    return replace(_cover(g, marks, m, a), **stats)
 
 
 # ---------------------------------------------------------------------------
-# The traversal solvers: one closed walk with a fixed slot pairing.
+# The traversal solvers: one walk with a fixed slot pairing.
 
 
-def _regularize(g: RotationGraph, target: int) -> list[int]:
-    """Twin array of g padded to degree `target` (even) with dummy edges.
-
-    Slot s at the vertex of rank i is dart target * i + s, and real darts
-    keep their slots.  Deficient vertices are paired greedily by lowest
-    id over the whole graph, each dummy edge taking the next free slot at
-    both ends, so original cyclic adjacencies survive projection.  A
-    single leftover vertex receives self-loops on consecutive slots, which
-    is always possible because the total deficit target * n - 2|E| is even.
-    """
-    verts = sorted(g.vertices)
-    if len(g.dart_index.twin) == target * len(verts):
-        return g.dart_index.twin  # already regular; callers only read it
-    pos = [target * i + s for i, v in enumerate(verts) for s in range(g.deg(v))]
-    twin = [0] * (target * len(verts))
-    for p, t in zip(pos, g.dart_index.twin):
-        twin[p] = pos[t]
-    nxt = [target * i + g.deg(v) for i, v in enumerate(verts)]  # next free dart
-    # u is the rank of the lowest vertex still deficient; it pairs with
-    # each later deficient vertex in rank order until one of them is full.
-    u = None
-    for i in range(len(verts)):
-        while nxt[i] < target * (i + 1):
-            if u is None:
-                u = i
-                break
-            p, q = nxt[u], nxt[i]
-            twin[p], twin[q] = q, p
-            nxt[u], nxt[i] = p + 1, q + 1
-            if nxt[u] == target * (u + 1):
-                u = None
-    if u is not None:
-        assert (target * (u + 1) - nxt[u]) % 2 == 0, "degree parity broken"
-        for p in range(nxt[u], target * (u + 1), 2):
-            twin[p], twin[p + 1] = p + 1, p
-    return twin
-
-
-def _walk_cover(g: RotationGraph, delta: int, partner, a: int) -> Certificate:
+def _walk_cover(g: RotationGraph, partner, a: int) -> Certificate:
     """Cover g with at most `a` angles per vertex from one slot-pairing walk.
 
-    Pads g to a delta-regular multigraph and partitions its darts into
-    closed walks that, entering a vertex on slot s, leave it on slot
-    partner[s] (a fixed transition system).  Each pair {s, partner[s]}
-    therefore holds one outgoing slot per vertex, and the outgoing slots
-    below the vertex's own degree get a minimum arc cover of width 2.
-    No walk uses an edge in both directions: such a walk would be its own
-    reverse, which needs a slot that is its own partner.
+    Partitions the darts of g into walks that, entering a vertex on slot
+    s, leave it on slot partner[s] (a fixed transition system), and end
+    on entering a slot whose partner the vertex lacks.  The open trails,
+    which start on the darts whose partner slot is missing, go first,
+    then the closed walks over the remaining darts.  So a pair {s,
+    partner[s]} holds one outgoing slot per vertex, or at most one if a
+    slot is missing, and the outgoing slots get a minimum arc cover of
+    width 2.  No walk uses an edge in both directions: such a walk would
+    be its own reverse, which needs a slot that is its own partner.
     """
-    twin = _regularize(g, delta)
+    twin = g.dart_index.twin
+    # Per degree, then per dart: the offset from a slot to its partner,
+    # or None where the vertex lacks the partner slot.
+    degs = [g.deg(v) for v in sorted(g.vertices)]
+    step = {
+        k: [p - s if p < k else None for s, p in enumerate(partner[:k])]
+        for k in set(degs)
+    }
+    jump = list(chain.from_iterable(map(step.__getitem__, degs)))
     # 0: edge not yet walked; 1: walked out of this dart; 2: walked into it.
     used = bytearray(len(twin))
-    for d0 in range(len(twin)):
-        if used[d0]:
-            continue
+    starts = (d for d, j in enumerate(jump) if j is None)
+    for d0 in chain(starts, range(len(twin))):
         d = d0
-        while True:
+        while not used[d]:
             used[d] = 1
             t = twin[d]
             used[t] = 2
-            s = t % delta
-            nxt = t - s + partner[s]
-            if used[nxt]:
-                assert nxt == d0, "walk hit a directed edge before closing"
+            if jump[t] is None:
                 break
-            d = nxt
-
-    rows = (
-        (v, used[delta * i : delta * i + g.deg(v)])
-        for i, v in enumerate(sorted(g.vertices))
-    )
-    return _cover(rows, 2, a)
+            d = t + jump[t]
+        else:
+            assert d == d0, "walk hit a directed edge before closing"
+    del jump
+    return _cover(g, used, 2, a)
 
 
 def solve_deg4(g: RotationGraph) -> Certificate:
     """Linear-time cover for maximum degree 4 (always YES).
 
     The walk leaves each vertex on the slot opposite its entry slot, so
-    of the pairs {0, 2} and {1, 3} each vertex has one outgoing slot in
-    each: two cyclically consecutive slots, covered by one angle.
+    each vertex has at most one outgoing slot in each of the pairs
+    {0, 2} and {1, 3}: consecutive slots, covered by one angle.
     """
     if g.max_degree() > 4:
         raise UnsupportedInputError("solve_deg4 requires maximum degree <= 4")
-    return _walk_cover(g, 4, (2, 3, 0, 1), 1)
+    return _walk_cover(g, (2, 3, 0, 1), 1)
 
 
 _SEXTET_PARTNER = (2, 4, 0, 5, 1, 3)
@@ -503,9 +473,9 @@ def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
 
     The walk pairs the slots of each block of six consecutive slots (a
     sextet) as 0-2, 1-4, 3-5, and the slots after the last sextet as
-    6k+2j with 6k+2j+1.  A sextet's three outgoing slots include two
+    6k+2j with 6k+2j+1.  Three outgoing slots of a sextet include two
     adjacent ones, so it takes at most two angles, and every remaining
-    pair takes one.
+    pair takes at most one.
     """
     if delta <= 0 or delta % 2:
         raise UnsupportedInputError("delta must be a positive even integer")
@@ -516,7 +486,7 @@ def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
         s - s % 6 + _SEXTET_PARTNER[s % 6] if s < 6 * k else s ^ 1
         for s in range(delta)
     ]
-    return _walk_cover(g, delta, partner, delta // 2 - k)
+    return _walk_cover(g, partner, delta // 2 - k)
 
 
 def solve_no_deg3(g: RotationGraph) -> Certificate:
@@ -561,9 +531,7 @@ def solve_no_deg3(g: RotationGraph) -> Certificate:
         return Certificate("NO")
     # Per dart, 1 if covered; a vertex of degree <= 2 covers all its darts.
     model = bytes(map(or_, map(lt, comp[0::2], comp[1::2]), map(not_, high)))
-    first = ix.first
-    rows = ((v, model[first[v] : first[v] + g.deg(v)]) for v in sorted(g.vertices))
-    return _cover(rows, 2, 1)
+    return _cover(g, model, 2, 1)
 
 
 def _tarjan_scc(adj: list[list[int]]) -> list[int]:

@@ -60,7 +60,9 @@ class TopologicalGraph:
     sequences: dict[int, tuple[int, ...]]
 
     def validate(self) -> list[str]:
-        issues = []
+        # Piece ids pair an edge id with a piece index (`_piece_id`), which
+        # is injective only on non-negative edge ids.
+        issues = [f"edge {e}: negative edge id" for e in sorted(self.base.edges) if e < 0]
         seen: dict[int, int] = {x: 0 for x in self.crossings}
         for e, seq in self.sequences.items():
             if e not in self.base.edges:

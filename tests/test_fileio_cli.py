@@ -355,6 +355,15 @@ def test_cli_rejects_topological_input_to_solve(tmp_path):
     assert main(["planarize", f]) == 0
 
 
+def test_cli_planarize_rejects_negative_edge_id(tmp_path, capsys):
+    # Piece ids of a negative edge id collide with another edge's pieces.
+    f = write(tmp_path, "n.inst", "e -1 0 1\ne 0 1 2\n")
+    assert main(["planarize", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: edge -1: negative edge id"]
+
+
 @pytest.mark.parametrize(
     "rotation", [K4_PLANE_ROTATION, None], ids=["plane", "nonplane"]
 )

@@ -239,7 +239,7 @@ def test_solve_deg4_matches_oracle():
 def test_solve_deg4_on_generator_output():
     for seed in range(20):
         g = gen_random_bounded_degree(40, 4, seed)
-        # A disjoint union pads deficient vertices across its components.
+        # A disjoint union has open trails in each of its components.
         union = disjoint_union(g, gen_random_bounded_degree(seed + 1, 4, seed + 50))
         for h in (g, union):
             cert = solve_deg4(h)
@@ -289,7 +289,7 @@ def test_solve_no_deg3_matches_oracle_at_high_degree():
 def test_solve_sextet_produces_valid_cover():
     # Delta mod 6 takes each of 0, 2 and 4.  The bounded-degree graphs are
     # non-regular and have loops, so they and their disjoint unions
-    # exercise the padding.
+    # exercise the open trails.
     for delta in (2, 4, 6, 8, 10, 12, 14, 16):
         spec = CoverSpec(delta // 2 - delta // 6, 2)
         for seed in range(10):
@@ -303,6 +303,23 @@ def test_solve_sextet_produces_valid_cover():
                 cert = solve_sextet(g, delta)
                 assert cert.is_yes
                 assert check_cover(g, cert.assignment, spec).valid
+
+
+@pytest.mark.parametrize("delta", [4, 8])
+def test_walk_solvers_cover_each_component_alone(delta):
+    # No walk crosses between components, so the cover of a disjoint
+    # union is g's cover plus h's cover shifted by the vertex offset.
+    solve = solve_deg4 if delta == 4 else (lambda g: solve_sextet(g, delta))
+    for seed in range(30):
+        g = gen_random_bounded_degree(40, delta, seed)
+        h = gen_random_bounded_degree(seed + 1, delta, seed + 50)
+        off = max(g.vertices) + 1
+        shifted = {
+            v + off: tuple(replace(x, vertex=v + off) for x in angles)
+            for v, angles in solve(h).assignment.angles.items()
+        }
+        union = solve(disjoint_union(g, h)).assignment.angles
+        assert union == {**solve(g).assignment.angles, **shifted}, seed
 
 
 def test_solve_outerplane_matches_oracle():
