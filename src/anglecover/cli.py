@@ -11,6 +11,11 @@ have a --budget option, that option takes precedence (decompose has
 none).  A bad value, like a non-positive --budget, is a usage error.
 `solve --algo` with a special solver exits 2 for a spec that solver does
 not decide.
+
+Each call loads only what its command uses: this module imports `core`
+and `fileio`, and each `_cmd_*` imports its solver, transform or
+generator when it runs.  So `check` loads no solver, and `instance`
+builds only the instance it names.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ import argparse
 import os
 import sys
 
-from .allocate import optimal_allocation
 from .core import (
     BASIC_SPEC,
+    DEFAULT_BUDGET,
     Certificate,
     CoverSpec,
     MalformedAssignmentError,
@@ -30,7 +35,6 @@ from .core import (
     check_cover,
     validate_graph,
 )
-from .density import check_low_density
 from .fileio import (
     FormatError,
     instance_to_multigraph,
@@ -40,38 +44,19 @@ from .fileio import (
     serialize_instance,
     serialize_multigraph,
 )
-from .instances import (
-    gen_henneberg_laman,
-    gen_random_bounded_degree,
-    gen_random_outerplane,
-    gen_regular,
-    get_instance,
-    instance_names,
-    random_henneberg_steps,
-)
-from .reduce import (
-    reduce_2angle_deg8,
-    reduce_3col,
-    reduce_multi,
-    reduce_wide,
-    reduce_witness,
-)
-from .solve import (
-    DEFAULT_BUDGET,
-    oracle_solve,
-    solve_deg4,
-    solve_no_deg3,
-    solve_outerplane,
-    solve_sextet,
-)
-from .thickness import blowup_decomposition, verify_decomposition
-from .transform import TopologicalGraph, blowup2, medial_graph, planarize
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
+
+# `instances.instance_names()`, spelled out so that the help text builds
+# no instance; a test keeps the two equal.
+INSTANCE_NAMES = (
+    "fig1", "fig2a", "fig2b", "fig3", "fig4-no", "fig4-yes", "laman-fig6",
+    "t-graph",
+)
 
 
 def _read(path: str) -> str:
@@ -81,7 +66,7 @@ def _read(path: str) -> str:
 
 def _load_graph(path: str) -> RotationGraph:
     g = parse_instance(_read(path))
-    if isinstance(g, TopologicalGraph):
+    if not isinstance(g, RotationGraph):
         raise UnsupportedInputError(
             "this command takes a plain instance; run planarize first"
         )
@@ -103,6 +88,14 @@ def _solve(
     `auto` runs the max-degree-4 solver, else the 2-SAT solver when no
     vertex has degree 3, for the basic spec, and the oracle otherwise.
     """
+    from .solve import (
+        oracle_solve,
+        solve_deg4,
+        solve_no_deg3,
+        solve_outerplane,
+        solve_sextet,
+    )
+
     if algo == "auto":
         if spec != BASIC_SPEC:
             algo = "oracle"
@@ -166,6 +159,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .density import check_low_density
+
     g = _load_graph(args.file)
     rep = check_low_density(g)
     if rep.low_density:
@@ -177,6 +172,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
+    from .allocate import optimal_allocation
+
     g = _load_graph(args.file)
     asg, size = optimal_allocation(g)
     if args.verify:
@@ -189,6 +186,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_planarize(args) -> int:
+    from .transform import TopologicalGraph, planarize
+
     obj = parse_instance(_read(args.file))
     if not isinstance(obj, TopologicalGraph):
         obj = TopologicalGraph(obj, {}, {})
@@ -197,6 +196,8 @@ def _cmd_planarize(args) -> int:
 
 
 def _cmd_medial(args) -> int:
+    from .transform import medial_graph
+
     g = _load_graph(args.file)
     med, _ = medial_graph(g)
     sys.stdout.write(serialize_multigraph(med))
@@ -204,12 +205,16 @@ def _cmd_medial(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from .transform import blowup2
+
     g = _load_graph(args.file)
     sys.stdout.write(serialize_multigraph(blowup2(g)))
     return EXIT_YES
 
 
 def _cmd_decompose(args) -> int:
+    from .thickness import blowup_decomposition, verify_decomposition
+
     g = _load_graph(args.file)
     if args.coverfile:
         asg = parse_cover(_read(args.coverfile))
@@ -237,6 +242,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduce import (
+        reduce_2angle_deg8,
+        reduce_3col,
+        reduce_multi,
+        reduce_wide,
+        reduce_witness,
+    )
+
     g = _load_graph(args.file)
     if args.variant == "3col":
         out, _ = reduce_3col(instance_to_multigraph(g))
@@ -256,15 +269,26 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_instance(args) -> int:
+    from .instances import get_instance
+
     try:
         inst = get_instance(args.name)
     except KeyError as exc:
-        raise UnsupportedInputError(str(exc)) from exc
+        # str() of a KeyError quotes its message; print the message bare.
+        raise UnsupportedInputError(exc.args[0]) from exc
     sys.stdout.write(serialize_instance(inst.graph))
     return EXIT_YES
 
 
 def _cmd_gen(args) -> int:
+    from .instances import (
+        gen_henneberg_laman,
+        gen_random_bounded_degree,
+        gen_random_outerplane,
+        gen_regular,
+        random_henneberg_steps,
+    )
+
     if args.kind == "deg4":
         g = gen_random_bounded_degree(args.vertices, 4, args.seed)
     elif args.kind == "regular":
@@ -346,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("instance", help="emit a built-in instance")
-    sp.add_argument("name", help=f"one of: {', '.join(instance_names())}")
+    sp.add_argument("name", help=f"one of: {', '.join(INSTANCE_NAMES)}")
     sp.set_defaults(func=_cmd_instance)
 
     sp = sub.add_parser("gen", help="random instance generators")

@@ -165,6 +165,10 @@ class CoverSpec:
 
 BASIC_SPEC = CoverSpec(1, 2)
 
+# The exhaustive search's default budget, a bound on its decisions plus
+# conflicts (`solve.oracle_solve`); the CLI's ANGLESET_BUDGET default.
+DEFAULT_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class Angle:
@@ -339,32 +343,34 @@ def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> Cove
     return CoverCheck(valid, tuple(uncovered), tuple(violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceData:
-    faces: tuple[tuple[tuple[int, int], ...], ...]
-    genus: int
+    """The faces of a combinatorial map and its genus.  `trace_faces`
+    only counts the faces; their (vertex, slot) cycles are built from the
+    dart index when `faces` is first read."""
 
-    @property
-    def num_faces(self) -> int:
-        return len(self.faces)
+    num_faces: int
+    genus: int
+    index: DartIndex = field(repr=False)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        first, vertex = self.index.first, self.index.vertex
+        return tuple(
+            tuple((vertex[d], d - first[vertex[d]]) for d in cycle)
+            for cycle in _face_cycles(self.index)
+        )
 
     @property
     def is_plane(self) -> bool:
         return self.genus == 0
 
 
-def trace_faces(g: RotationGraph) -> FaceData:
-    """Trace the faces of the combinatorial map and compute its genus.
-
-    Faces are dart cycles under "cross the edge, then turn to the next
-    rotation slot".  Summing Euler's formula over the C connected
-    components gives genus = (2C - V + E - F) / 2, where an isolated
-    vertex is a component with one face.
-    """
-    ix = g.dart_index
+def _face_cycles(ix: DartIndex):
+    """Each face as the list of its darts, in walk order: cross the edge,
+    then turn to the next rotation slot."""
     first, vertex, twin = ix.first, ix.vertex, ix.twin
     n = len(twin)
-    faces: list[tuple[tuple[int, int], ...]] = []
     seen = bytearray(n)
     for start in range(n):
         if seen[start]:
@@ -373,14 +379,25 @@ def trace_faces(g: RotationGraph) -> FaceData:
         d = start
         while not seen[d]:
             seen[d] = 1
-            v = vertex[d]
-            cycle.append((v, d - first[v]))
+            cycle.append(d)
             t = twin[d]
             w = vertex[t]
             d = t + 1  # the next slot at w, wrapping round to slot 0
             if d == n or vertex[d] != w:
                 d = first[w]
-        faces.append(tuple(cycle))
+        yield cycle
+
+
+def trace_faces(g: RotationGraph) -> FaceData:
+    """Count the faces of the combinatorial map and compute its genus.
+
+    Summing Euler's formula over the C connected components gives
+    genus = (2C - V + E - F) / 2, where an isolated vertex is a component
+    with one face.
+    """
+    ix = g.dart_index
+    first, vertex, twin = ix.first, ix.vertex, ix.twin
+    f = sum(1 for _ in _face_cycles(ix))
 
     # Components, each found by a breadth-first search from its first vertex.
     reached: set[int] = set()
@@ -398,6 +415,6 @@ def trace_faces(g: RotationGraph) -> FaceData:
                 ends += twin[first[u] : first[u] + g.deg(u)]
             new = set(map(vertex.__getitem__, ends)) - reached
             reached |= new
-    defect = 2 * c - len(g.vertices) + len(g.edges) - (len(faces) + isolated)
+    defect = 2 * c - len(g.vertices) + len(g.edges) - (f + isolated)
     assert defect % 2 == 0, "face tracing produced an odd Euler defect"
-    return FaceData(tuple(faces), defect // 2)
+    return FaceData(f, defect // 2, ix)

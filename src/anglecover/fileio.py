@@ -8,6 +8,10 @@ vertices, then edges, then rotations (then crossings and sequences),
 ascending ids, single spaces, newline-terminated.
 
 CoverFile: `angle <v> <start-slot> <width>` lines ascending by (v, start).
+
+The topological and rotation-free types (`TopologicalGraph`, `Multigraph`
+in the annotations) live in `transform`, which is imported only when a
+file has crossing records or a Multigraph is built.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 from itertools import chain
 
 from .core import Angle, AngleAssignment, RotationGraph
-from .transform import Crossing, Multigraph, TopologicalGraph
 
 
 class FormatError(ValueError):
@@ -36,7 +39,7 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
     vertices: set[int] = set()
     edges: dict[int, tuple[int, int]] = {}
     rotation: dict[int, tuple[int, ...]] = {}
-    crossings: dict[int, Crossing] = {}
+    crossings: dict[int, tuple[int, int, int]] = {}
     sequences: dict[int, tuple[int, ...]] = {}
     try:
         for lineno, toks in _tokens(text):
@@ -57,7 +60,7 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
                 vertices.add(int(toks[1]))
             elif kind == "x" and len(toks) == 5:
                 xid, e, f, bit = map(int, toks[1:])
-                crossings[xid] = Crossing(e, f, bit)
+                crossings[xid] = (e, f, bit)
             elif kind == "seq" and len(toks) >= 2 and toks[1].endswith(":"):
                 e = int(toks[1][:-1])
                 sequences[e] = tuple(map(int, toks[2:]))
@@ -79,7 +82,10 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
         rotation.update((v, tuple(slots)) for v, slots in default.items())
     g = RotationGraph(tuple(sorted(vertices)), edges, rotation)
     if crossings or sequences:
-        tg = TopologicalGraph(g, crossings, sequences)
+        from .transform import Crossing, TopologicalGraph
+
+        crossed = {x: Crossing(*rec) for x, rec in crossings.items()}
+        tg = TopologicalGraph(g, crossed, sequences)
         issues = tg.validate()
         if issues:
             raise FormatError("; ".join(issues))
@@ -88,7 +94,7 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
 
 
 def serialize_instance(g: RotationGraph | TopologicalGraph) -> str:
-    tg = g if isinstance(g, TopologicalGraph) else None
+    tg = None if isinstance(g, RotationGraph) else g
     if tg is not None:
         g = tg.base
     lines = [f"v {v}" for v in sorted(g.vertices)]
@@ -118,6 +124,8 @@ def serialize_multigraph(m: Multigraph) -> str:
 
 
 def instance_to_multigraph(g: RotationGraph) -> Multigraph:
+    from .transform import Multigraph
+
     return Multigraph(tuple(sorted(g.vertices)), dict(g.edges))
 
 

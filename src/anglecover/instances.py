@@ -276,11 +276,12 @@ FIG3_ORIENTATION: dict[int, bool] = {
 }
 
 
-def _fig4() -> tuple[NamedInstance, NamedInstance]:
+def _fig4(yes: bool) -> NamedInstance:
     """One 9-vertex, 18-edge graph with two rotation systems.
 
     Both share every rotation except the centre's: grouping the arm edges
-    admits a cover, alternating them does not (tight-count argument).
+    admits a cover (`yes`), alternating them does not (tight-count
+    argument).
     """
     names = ["c", "u1", "u2", "L", "R", "w1", "w2", "w3", "w4"]
     E = [
@@ -313,9 +314,11 @@ def _fig4() -> tuple[NamedInstance, NamedInstance]:
         "w3": [8, 17, 13, 15, 10],
         "w4": [14, 16, 11, 17],
     }
-    g_no, ids = _graph_from_tables(names, E, {**shared, "c": [0, 2, 1, 3]})
-    g_yes, _ = _graph_from_tables(names, E, {**shared, "c": [0, 1, 2, 3]})
-    yes_cover = AngleAssignment.build(
+    centre = [0, 1, 2, 3] if yes else [0, 2, 1, 3]
+    g, ids = _graph_from_tables(names, E, {**shared, "c": centre})
+    if not yes:
+        return NamedInstance("fig4-no", g, "NO", ids)
+    cover = AngleAssignment.build(
         {
             ids["c"]: [Angle(ids["c"], 0, 2)],
             ids["u1"]: [Angle(ids["u1"], 0, 2)],
@@ -328,10 +331,7 @@ def _fig4() -> tuple[NamedInstance, NamedInstance]:
             ids["w4"]: [Angle(ids["w4"], 0, 2)],
         }
     )
-    return (
-        NamedInstance("fig4-no", g_no, "NO", ids),
-        NamedInstance("fig4-yes", g_yes, "YES", ids, yes_cover),
-    )
+    return NamedInstance("fig4-yes", g, "YES", ids, cover)
 
 
 def _laman_fig6() -> NamedInstance:
@@ -385,24 +385,27 @@ def _t_graph() -> NamedInstance:
     return NamedInstance("t-graph", frag.graph, None, labels)
 
 
-def _catalogue() -> dict[str, NamedInstance]:
-    fig4_no, fig4_yes = _fig4()
-    out = {}
-    for inst in (_fig1(), _fig2a(), _fig2b(), _fig3(), fig4_no, fig4_yes,
-                 _laman_fig6(), _t_graph()):
-        out[inst.name] = inst
-    return out
+# Name -> builder; a lookup builds only the instance it names.
+_CATALOGUE = {
+    "fig1": _fig1,
+    "fig2a": _fig2a,
+    "fig2b": _fig2b,
+    "fig3": _fig3,
+    "fig4-no": lambda: _fig4(False),
+    "fig4-yes": lambda: _fig4(True),
+    "laman-fig6": _laman_fig6,
+    "t-graph": _t_graph,
+}
 
 
 def instance_names() -> list[str]:
-    return sorted(_catalogue())
+    return sorted(_CATALOGUE)
 
 
 def get_instance(name: str) -> NamedInstance:
-    cat = _catalogue()
-    if name not in cat:
-        raise KeyError(f"unknown instance {name!r}; known: {', '.join(sorted(cat))}")
-    return cat[name]
+    if name not in _CATALOGUE:
+        raise KeyError(f"unknown instance {name!r}; known: {', '.join(instance_names())}")
+    return _CATALOGUE[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +480,8 @@ def gen_regular(n: int, d: int, seed) -> RotationGraph:
 
 def random_henneberg_steps(k: int, seed) -> list[tuple]:
     """k random valid Henneberg steps starting from a single edge."""
+    if k < 0:
+        raise ValueError(f"need k >= 0 steps, got {k}")
     rng = random.Random(seed)
     n = 2
     edge_ids = [0]

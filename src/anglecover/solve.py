@@ -21,14 +21,13 @@ from .core import (
     Angle,
     AngleAssignment,
     BASIC_SPEC,
+    DEFAULT_BUDGET,
     Certificate,
     CoverSpec,
     RotationGraph,
     UnsupportedInputError,
     trace_faces,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 
 def min_arc_cover(deg: int, slots, m: int) -> tuple[int, list[int]]:

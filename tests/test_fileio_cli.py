@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -207,6 +208,57 @@ def test_cli_import_does_not_load_networkx():
     assert out.stdout == "False\n"
 
 
+def _modules_loaded(tmp_path, argv):
+    """The anglecover modules a fresh interpreter holds after importing
+    the CLI and, unless `argv` is None, running it on `argv` with exit 0."""
+    code = (
+        "import sys\n"
+        "from anglecover.cli import main\n"
+        f"argv = {argv!r}\n"
+        "status = 0 if argv is None else main(argv)\n"
+        "print(status, *(m for m in sys.modules if m.startswith('anglecover')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(anglecover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, *loaded = proc.stdout.splitlines()[-1].split()
+    assert status == "0", proc.stderr
+    return set(loaded)
+
+
+def test_cli_import_loads_only_core_and_fileio(tmp_path):
+    assert _modules_loaded(tmp_path, None) == {
+        "anglecover",
+        "anglecover.cli",
+        "anglecover.core",
+        "anglecover.fileio",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["instance", "fig1"],
+        ["gen", "regular", "-n", "20", "--seed", "1"],
+        ["check", "fig1.inst", "fig1.cover"],
+    ],
+    ids=["instance", "gen", "check"],
+)
+def test_cli_light_commands_load_no_solver(tmp_path, argv):
+    fig1 = get_instance("fig1")
+    write(tmp_path, "fig1.inst", serialize_instance(fig1.graph))
+    write(tmp_path, "fig1.cover", serialize_cover(fig1.cover))
+    loaded = _modules_loaded(tmp_path, argv)
+    assert "anglecover.cli" in loaded
+    assert not loaded & {"anglecover.solve", "anglecover.reduce"}
+
+
 def test_cli_check(tmp_path, capsys):
     f = inst_file(tmp_path, "fig1")
     assert main(["solve", f]) == 0
@@ -329,8 +381,30 @@ def test_cli_gen_pipes_into_solve(tmp_path, capsys):
     assert main(["solve", f]) in (0, 1)
 
 
-def test_cli_instance_unknown_name():
+def test_cli_instance_unknown_name(capsys):
     assert main(["instance", "nope"]) == 2
+    # str() of the KeyError once wrapped this line in double quotes.
+    assert capsys.readouterr().err == (
+        "error: unknown instance 'nope'; known: fig1, fig2a, fig2b, fig3,"
+        " fig4-no, fig4-yes, laman-fig6, t-graph\n"
+    )
+
+
+def test_cli_instance_help_lists_the_catalogue(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a name
+    with pytest.raises(SystemExit) as exit_info:
+        main(["instance", "--help"])
+    assert exit_info.value.code == 0
+    listed = re.search(r"one of: (.*)", capsys.readouterr().out).group(1)
+    assert listed.split(", ") == instance_names()
+
+
+def test_cli_gen_laman_rejects_negative_steps(capsys):
+    # A negative count once ran as 0 and printed the seed edge.
+    assert main(["gen", "laman", "--steps", "-1", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_io_error():
@@ -379,7 +453,7 @@ def test_cli_internal_error_exits_4_with_one_line(tmp_path, monkeypatch, capsys)
     def broken(*args, **kwargs):
         raise RuntimeError("solver fault\nsecond line")
 
-    monkeypatch.setattr("anglecover.cli.oracle_solve", broken)
+    monkeypatch.setattr("anglecover.solve.oracle_solve", broken)
     assert main(["solve", "--algo", "oracle", inst_file(tmp_path, "fig1")]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: solver fault second line\n"
@@ -392,7 +466,7 @@ def test_cli_failed_self_check_exits_4(tmp_path, monkeypatch, capsys):
         "anglecover.cli.check_cover", lambda *args: CoverCheck(False, (0,), ())
     )
     monkeypatch.setattr(
-        "anglecover.cli.verify_decomposition",
+        "anglecover.thickness.verify_decomposition",
         lambda *args: DecompositionCheck(False, ("layer 1 not plane",)),
     )
     f = inst_file(tmp_path, "fig1")

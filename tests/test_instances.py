@@ -1,6 +1,8 @@
 import random
 import time
 
+import pytest
+
 from anglecover.core import BASIC_SPEC, check_cover, trace_faces, validate_graph
 from anglecover.instances import (
     FIG3_ORIENTATION,
@@ -123,6 +125,13 @@ def test_henneberg_laman_count():
         g = gen_henneberg_laman(steps, seed)
         assert len(g.edges) == 2 * len(g.vertices) - 3
         assert validate_graph(g) == []
+
+
+def test_henneberg_steps_reject_negative_count():
+    # A negative count once ran as 0 and returned no steps.
+    with pytest.raises(ValueError):
+        random_henneberg_steps(-1, 1)
+    assert random_henneberg_steps(0, 1) == []
 
 
 def test_gen_outerplane_one_face_has_all_vertices():
