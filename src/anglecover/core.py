@@ -210,7 +210,8 @@ class Certificate:
     """Solver verdict plus, for YES, a validating assignment.
 
     The counters are the exhaustive search's (`solve.oracle_solve`), zero
-    for the other solvers; they take no part in comparisons.
+    for the other solvers; they take no part in comparisons.  `tight`
+    counts the conflicts raised by the search's capacity orientation.
     """
 
     verdict: str  # "YES", "NO" or "INDETERMINATE"
@@ -219,6 +220,7 @@ class Certificate:
     conflicts: int = field(default=0, compare=False)
     learned: int = field(default=0, compare=False)  # clauses kept; units go to level 0
     restarts: int = field(default=0, compare=False)
+    tight: int = field(default=0, compare=False)
 
     @property
     def is_yes(self) -> bool:
@@ -393,28 +395,35 @@ def trace_faces(g: RotationGraph) -> FaceData:
 
     Summing Euler's formula over the C connected components gives
     genus = (2C - V + E - F) / 2, where an isolated vertex is a component
-    with one face.
+    with one face.  One walk counts both: it traces the faces of one
+    component at a time, each next face from a dart across an edge of a
+    face already traced, so a walk that starts afresh is a new component.
     """
     ix = g.dart_index
     first, vertex, twin = ix.first, ix.vertex, ix.twin
-    f = sum(1 for _ in _face_cycles(ix))
-
-    # Components, each found by a breadth-first search from its first vertex.
-    reached: set[int] = set()
-    c = isolated = 0
-    for v in g.vertices:
-        if v in reached:
+    n = len(twin)
+    seen = bytearray(n)
+    f = c = 0
+    for root in range(n):
+        if seen[root]:
             continue
         c += 1
-        isolated += not g.deg(v)
-        reached.add(v)
-        new = [v]
-        while new:
-            ends = []
-            for u in new:
-                ends += twin[first[u] : first[u] + g.deg(u)]
-            new = set(map(vertex.__getitem__, ends)) - reached
-            reached |= new
+        across = [root]  # darts across an edge from a traced face
+        while across:
+            d = across.pop()
+            if seen[d]:
+                continue
+            f += 1
+            while not seen[d]:  # the face walk of `_face_cycles`
+                seen[d] = 1
+                t = twin[d]
+                across.append(t)
+                w = vertex[t]
+                d = t + 1
+                if d == n or vertex[d] != w:
+                    d = first[w]
+    isolated = sum(1 for v in g.vertices if not g.deg(v))
+    c += isolated
     defect = 2 * c - len(g.vertices) + len(g.edges) - (f + isolated)
     assert defect % 2 == 0, "face tracing produced an odd Euler defect"
     return FaceData(f, defect // 2, ix)

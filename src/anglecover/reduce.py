@@ -23,7 +23,6 @@ from .core import (
     UnsupportedInputError,
     check_cover,
 )
-from .solve import oracle_solve
 from .transform import Multigraph
 
 
@@ -390,6 +389,8 @@ def max_coverage(
     covers more edges than their sum, and every k below k0 = |E| minus
     that sum is a NO that needs no search.
     """
+    from .solve import oracle_solve
+
     reach = sum(min(g.deg(v), spec.a * spec.m) for v in g.vertices)
     k = max(0, len(g.edges) - reach)  # at k = |E| the oracle answers YES
     while (cert := oracle_solve(g, spec, budget, uncovered=k)).is_no:

@@ -1,8 +1,10 @@
 """Cover-finding algorithms.
 
 Contains the exact oracle, a conflict-driven clause-learning search over
-dart literals (with an allowance of uncovered edges, also the search
-behind `reduce.max_coverage`), the linear-time max-degree-4 solver, the
+dart literals that also keeps a capacity orientation of the edges and
+turns its failures into conflict clauses (with an allowance of uncovered
+edges, also the search behind `reduce.max_coverage`, without the
+orientation), the linear-time max-degree-4 solver, the
 2-SAT solver for graphs without degree-3 vertices, the sextet-based
 solver for even maximum degree, and the outerplane entry point (an
 embedding check in front of the oracle).  The max-degree-4 and sextet
@@ -124,14 +126,28 @@ def oracle_solve(
       minimised set of the darts that were true before it;
     - at most k edges are uncovered; at k, an edge with one false dart is
       covered by the other, explained by the k uncovered edges.
+    With no allowance the search also counts (Hakimi's orientation
+    theorem).  A cover gives each edge to an endpoint that covers it, so
+    a vertex v holds at most c(v) = min(deg v, a·m) edges.  The search
+    keeps such an orientation that respects every true dart: it starts
+    with each edge at its less-loaded end, a dart that becomes true
+    moves its edge to its vertex, and after each trail step every vertex
+    over c(v) moves edges out by breadth-first path reversal along held,
+    unassigned edges.  A failed search is a full, closed vertex set S,
+    and the conflict clause negates the true darts that pull edges into
+    S from outside (explained flow propagation in the manner of Downing,
+    Feydy & Stuckey, CPAIOR 2012).  Backjumping only unassigns, so the
+    orientation it leaves is repaired without failing.
     The search is CDCL with no randomness: 1-UIP learning, backjumping,
     two watched literals per learned clause, VSIDS, phase saving and
     Luby restarts.  A vertex of degree <= m covers its edges, and
     `forced` pins edges to a covering endpoint, at level 0.  More edges
-    to cover than the Σ_v min(deg v, a·m) slots the vertices can cover is
-    a NO before the first decision.  More than `budget` decisions plus
-    conflicts yield INDETERMINATE, never a guessed verdict.  The
-    certificate carries the search counters.
+    to cover than the Σ_v min(deg v, a·m) slots the vertices can cover,
+    or no orientation at level 0, is a NO before the first decision.
+    More than `budget` decisions plus conflicts yield INDETERMINATE,
+    never a guessed verdict.  The certificate carries the search
+    counters; `tight` counts the orientation's conflicts, the one that
+    ends a search at level 0 included (which `conflicts` leaves out).
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -146,17 +162,26 @@ def oracle_solve(
         var = [*range(n), *range(n)]
     else:
         neg = twin
-        var = list(map(min, range(n), twin))
+        var = [d if d < t else t for d, t in enumerate(twin)]
     variables = [x for x in range(n) if var[x] == x]
     deg = {v: g.deg(v) for v in g.vertices}
     free = {v for v in g.vertices if 0 < deg[v] <= m}
-    # Per dart: its vertex's degree, its slot bit, and its vertex's slot-0
-    # dart when more than `a` arcs can be needed there (else -1).
+    # Per dart: its vertex's slot-0 dart and degree, its slot bit, and
+    # (home) the slot-0 dart again when more than `a` arcs can be needed
+    # at its vertex, else -1.
+    base = [first[v] for v in vertex]
     dega = [deg[v] for v in vertex]
-    bit = [1 << (d - first[v]) for d, v in enumerate(vertex)]
-    home = [first[v] if dg > m and -(-dg // m) > a else -1 for v, dg in zip(vertex, dega)]
+    bit = [1 << (d - b) for d, b in enumerate(base)]
+    home = [b if dg > m and -(-dg // m) > a else -1 for b, dg in zip(base, dega)]
     mask = [0] * n  # at a home dart: the true slots of its vertex
     tables: dict[int, dict[int, list]] = {dg: {} for dg in dega}
+    # The capacity orientation (k = 0 only).  Per dart: whether its vertex
+    # holds its edge, and c(v) of its vertex; at a slot-0 dart: the number
+    # of edges its vertex holds.
+    held = bytearray(n)
+    cap = [dg if dg < a * m else a * m for dg in dega]
+    load = [0] * n
+    pending: list[int] = []  # slot-0 darts of vertices that may be over c(v)
 
     def arcs(dg: int, mk: int) -> list:
         """[arcs needed, forbidden slots or None] for the slot set mk."""
@@ -183,8 +208,16 @@ def oracle_solve(
         val[p], val[neg[p]] = 1, -1
         level[x], pos[x], reason[x] = len(lim), len(trail), why
         trail.append(p)
-        if p < n and home[p] >= 0:
-            mask[home[p]] |= bit[p]
+        if p < n:
+            if home[p] >= 0:
+                mask[home[p]] |= bit[p]
+            if not k and not held[p]:  # the edge moves to p's vertex
+                t, b = twin[p], base[p]
+                held[p], held[t] = 1, 0
+                load[b] += 1
+                load[base[t]] -= 1
+                if load[b] > cap[b]:
+                    pending.append(b)
 
     def vertex_clause(h: int, d: int, before: int) -> list[int]:
         """Negations of the darts at home h that were true before trail
@@ -214,10 +247,61 @@ def oracle_solve(
             return vertex_clause(home[neg[p]], neg[p], pos[var[p]])
         return [twin[p], *uncovered_darts(k)] if why is _ALLOWANCE else why[1:]
 
+    def settle() -> list[int] | None:
+        """Move edges out of each pending vertex over capacity, by one
+        breadth-first path reversal along held, unassigned edges each; a
+        conflict clause when a search fails, else None."""
+        nonlocal tight
+        while pending:
+            b = pending[-1]
+            if load[b] <= cap[b]:
+                pending.pop()
+                continue
+            via = {b: -1}  # vertex reached -> the held dart stepped along into it
+            queue = [b]
+            for x in queue:
+                for d in range(x, x + dega[x]):
+                    if held[d] and not val[d]:
+                        y = base[twin[d]]
+                        if y not in via:
+                            via[y] = d
+                            if load[y] < cap[y]:
+                                break
+                            queue.append(y)
+                else:
+                    continue
+                break  # y has spare capacity
+            else:
+                # The visited set S is full, and the edges it could move
+                # stay inside: it must hold E(S) and the edges that true
+                # darts pull in from outside, more than Σ_S c(v).  An
+                # orientation existed before this level, so one of those
+                # darts is of this level, as `analyze` needs.
+                tight += 1
+                clause = [
+                    twin[d] for x in queue for d in range(x, x + dega[x])
+                    if val[d] == 1 and base[twin[d]] not in via
+                ]
+                assert not lim or any(level[var[q]] == len(lim) for q in clause)
+                return clause
+            load[y] += 1
+            load[b] -= 1
+            while d >= 0:
+                held[d], held[twin[d]] = 0, 1
+                d = via[base[d]]
+        return None
+
     def propagate() -> list[int] | None:
-        """Propagate the trail from qhead; a conflict clause, or None."""
+        """Propagate the trail from qhead; a conflict clause, or None.
+        The capacity orientation is repaired after each trail step."""
         nonlocal qhead
-        while qhead < len(trail):
+        while True:
+            if pending:
+                confl = settle()
+                if confl is not None:
+                    return confl
+            if qhead == len(trail):
+                return None
             p = trail[qhead]
             qhead += 1
             q = neg[p]
@@ -272,7 +356,6 @@ def oracle_solve(
                                 assign(twin[x], _ALLOWANCE)
                 elif not val[t] and len(unc) == k:
                     assign(t, _ALLOWANCE)
-        return None
 
     def analyze(confl: list[int]) -> tuple[list[int], int]:
         """The 1-UIP clause, asserting literal first and a literal of the
@@ -323,11 +406,29 @@ def oracle_solve(
             heappush(heap, (-act[x], x))
         del trail[cut:], lim[lv:]
         qhead = cut
+        # Unassigning moves no edge, and the orientation respected every
+        # assignment kept here when this level was last settled, so the
+        # vertices still over capacity can be repaired.
+        confl = settle()
+        assert confl is None, "no orientation at a level that had one"
         if len(heap) > 2 * len(variables) + 64:
             rebuild_heap()
 
     def rebuild_heap() -> None:
         heap[:] = sorted((-act[x], x) for x in variables if not val[x])
+
+    # Start the orientation with each edge at its less-loaded end; the
+    # first propagation moves edges out of vertices over capacity, and a
+    # failure there is a NO before the first decision.
+    if not k:
+        for d in variables:
+            b, c = base[d], base[twin[d]]
+            if load[c] < load[b]:
+                d, b = twin[d], c
+            held[d] = 1
+            load[b] += 1
+            if load[b] > cap[b]:
+                pending.append(b)
 
     # Level 0: an edge with a free candidate end is covered there, a
     # forced edge at its forced end; with an allowance its other dart is
@@ -351,10 +452,10 @@ def oracle_solve(
     # A covered edge takes a slot of its own and a vertex covers at most
     # min(deg, a * m) slots, so more than that many edges to cover is a
     # NO without a search.
-    if len(g.edges) - k > sum(min(dg, a * m) for dg in deg.values()):
+    if len(g.edges) - k > sum(cap[f] for v, f in first.items() if deg[v]):
         return Certificate("NO")
 
-    decisions = conflicts = learned = restarts = 0
+    decisions = conflicts = learned = restarts = tight = 0
     next_restart = RESTART_UNIT * _luby(1)
     while True:
         confl = propagate()
@@ -395,7 +496,10 @@ def oracle_solve(
         lim.append(len(trail))
         assign(phase[heappop(heap)[1]], None)
 
-    stats = dict(decisions=decisions, conflicts=conflicts, learned=learned, restarts=restarts)
+    stats = dict(
+        decisions=decisions, conflicts=conflicts, learned=learned, restarts=restarts,
+        tight=tight,
+    )
     if verdict != "YES":
         return Certificate(verdict, **stats)
 

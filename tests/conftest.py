@@ -54,6 +54,13 @@ def complete_graph(n):
     return multigraph(n, list(itertools.combinations(range(n), 2)))
 
 
+def wheel_graph(n):
+    """The wheel W_n: a rim cycle on vertices 0..n-1 and hub n joined to
+    every rim vertex."""
+    rim = [(i, (i + 1) % n) for i in range(n)]
+    return multigraph(n + 1, rim + [(i, n) for i in range(n)])
+
+
 def complete_rotation_graph(n, rotations=None):
     return rotation_graph(list(itertools.combinations(range(n), 2)), rotations)
 

@@ -241,22 +241,29 @@ def test_cli_import_loads_only_core_and_fileio(tmp_path):
     }
 
 
+NO_REDUCE = {"anglecover.solve", "anglecover.reduce"}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, absent",
     [
-        ["instance", "fig1"],
-        ["gen", "regular", "-n", "20", "--seed", "1"],
-        ["check", "fig1.inst", "fig1.cover"],
+        (["instance", "fig1"], NO_REDUCE),
+        (["gen", "regular", "-n", "20", "--seed", "1"], NO_REDUCE),
+        (["check", "fig1.inst", "fig1.cover"], NO_REDUCE),
+        # Only `reduce witness` searches; the other reductions just build.
+        (["reduce", "3col", "tri.inst"], {"anglecover.solve"}),
+        (["instance", "t-graph"], {"anglecover.solve"}),
     ],
-    ids=["instance", "gen", "check"],
+    ids=["instance", "gen", "check", "reduce-3col", "instance-t-graph"],
 )
-def test_cli_light_commands_load_no_solver(tmp_path, argv):
+def test_cli_light_commands_load_no_solver(tmp_path, argv, absent):
     fig1 = get_instance("fig1")
     write(tmp_path, "fig1.inst", serialize_instance(fig1.graph))
     write(tmp_path, "fig1.cover", serialize_cover(fig1.cover))
+    write(tmp_path, "tri.inst", serialize_instance(rotation_graph([(0, 1), (1, 2), (2, 0)])))
     loaded = _modules_loaded(tmp_path, argv)
     assert "anglecover.cli" in loaded
-    assert not loaded & {"anglecover.solve", "anglecover.reduce"}
+    assert not loaded & absent
 
 
 def test_cli_check(tmp_path, capsys):

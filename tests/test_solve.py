@@ -39,6 +39,7 @@ from conftest import (
     random_fixed_degree_graph,
     random_rotation_graph,
     rotation_graph,
+    wheel_graph,
 )
 
 
@@ -101,24 +102,27 @@ def test_oracle_budget_indeterminate():
 
 
 def test_oracle_budget_bounds_an_undecided_search():
-    # The degree-8 reduction of K4 is NO, and refuting it takes the
-    # search about 22k decisions plus conflicts; a small budget must stop
-    # it with INDETERMINATE.
-    h = reduce_2angle_deg8(complete_graph(4))
+    # The 3-angle reduction of the wheel W5 is NO, and refuting it takes
+    # the search about 15k decisions plus conflicts; a small budget must
+    # stop it with INDETERMINATE.
+    h = reduce_multi(wheel_graph(5), 3)
     t0 = time.perf_counter()
-    cert = oracle_solve(h, CoverSpec(2, 2), budget=5000)
+    cert = oracle_solve(h, CoverSpec(3, 2), budget=5000)
     assert cert.verdict == "INDETERMINATE"
     assert time.perf_counter() - t0 < 2.0
 
 
 def test_oracle_certificate_counts_its_search():
-    h = reduce_2angle_deg8(complete_graph(3))
+    h = reduce_2angle_deg8(wheel_graph(6))
     cert = oracle_solve(h, CoverSpec(2, 2))
     assert cert.is_yes
     assert cert.decisions > 0 and cert.restarts > 0
     assert 0 < cert.learned <= cert.conflicts
+    assert 0 < cert.tight <= cert.conflicts
     # The counters take no part in comparisons.
-    assert cert == replace(cert, decisions=0, conflicts=0, learned=0, restarts=0)
+    assert cert == replace(
+        cert, decisions=0, conflicts=0, learned=0, restarts=0, tight=0
+    )
     # The budget counts decisions plus conflicts.
     cut = oracle_solve(h, CoverSpec(2, 2), budget=100)
     assert cut.verdict == "INDETERMINATE"
@@ -129,12 +133,12 @@ def test_oracle_certificate_counts_its_search():
 @pytest.mark.parametrize(
     "make, spec, uncovered, verdict",
     [
-        (lambda: reduce_2angle_deg8(complete_graph(3)), (2, 2), 0, "YES"),
-        (lambda: reduce_multi(complete_graph(4), 2), (2, 2), 0, "NO"),
+        (lambda: reduce_2angle_deg8(wheel_graph(6)), (2, 2), 0, "YES"),
+        (lambda: reduce_2angle_deg8(wheel_graph(5)), (2, 2), 0, "NO"),
         (lambda: reduce_multi(complete_graph(4), 2), (2, 2), 1, "YES"),
         (lambda: reduce_3col(complete_graph(5))[0], (1, 2), 1, "NO"),
     ],
-    ids=["deg8-K3", "multi-K4", "multi-K4-allowance", "3col-K5-allowance"],
+    ids=["deg8-W6", "deg8-W5", "multi-K4-allowance", "3col-K5-allowance"],
 )
 def test_oracle_is_deterministic(make, spec, uncovered, verdict):
     # Each case needs conflicts and restarts, so learning, VSIDS ties and
@@ -149,6 +153,32 @@ def test_oracle_is_deterministic(make, spec, uncovered, verdict):
         assert covers[0] == covers[1]
         chk = check_cover(g, runs[0].assignment, spec)
         assert not chk.violations and len(chk.uncovered_edges) <= uncovered
+
+
+def test_oracle_refutes_deg8_k4_by_counting():
+    # Each T gadget has one slot to spare: once a stub is covered inside
+    # it, the orientation finds the tight set, where clause learning
+    # alone would relearn that for every T copy.
+    cert = oracle_solve(reduce_2angle_deg8(complete_graph(4)), CoverSpec(2, 2))
+    assert cert.is_no
+    assert cert.conflicts < 300 and cert.tight > 0
+
+
+def test_oracle_refutes_multi_k4_within_budget():
+    # The K13 blockers are exactly tight, so every stub must be covered
+    # by its host; clause learning alone is undecided at this budget.
+    h = reduce_multi(complete_graph(4), 3)
+    assert oracle_solve(h, CoverSpec(3, 2), budget=200_000).is_no
+
+
+def test_oracle_covers_multi_k3():
+    h = reduce_multi(complete_graph(3), 3)
+    cert = oracle_solve(h, CoverSpec(3, 2))
+    assert cert.is_yes
+    assert check_cover(h, cert.assignment, CoverSpec(3, 2)).valid
+    # The K13 blockers are exactly tight, so counting, not learning,
+    # places their stubs.
+    assert cert.conflicts < 100 and cert.tight > 0
 
 
 def test_oracle_counts_slots_before_searching():
