@@ -9,7 +9,9 @@ first use.  A dart is one (vertex, slot) pair; darts are numbered
 0..2|E|-1 in ascending vertex order, so slot s at v is dart first[v] + s.
 The index stores, per dart, its vertex, its edge and its twin (the other
 end of the same edge), and per edge its lower dart.  `g.ends(e)` returns
-an edge's two (vertex, slot) ends from it.
+an edge's two (vertex, slot) ends from it.  `DartIndex.walk` is the one
+slot-pairing walk over the darts: the max-degree-4 and sextet solvers
+cover with it, and the density test starts its orientation from it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import eq
+from itertools import chain
+from operator import eq, sub
 
 
 class MalformedAssignmentError(ValueError):
@@ -138,6 +141,51 @@ class DartIndex:
     def slot(self, d: int) -> int:
         return d - self.first[self.vertex[d]]
 
+    @cached_property
+    def degree(self) -> list[int]:
+        """Per vertex, in the order of `first` (ascending), its degree."""
+        starts = list(self.first.values())
+        return list(map(sub, [*starts[1:], len(self.edge)], starts))
+
+    def walk(self, partner) -> bytearray:
+        """One slot-pairing walk over every dart; per dart, 1 if the walk
+        left its vertex there and 2 if it entered there.
+
+        Entering a vertex on slot s, a walk leaves it on slot partner[s]
+        (a fixed transition system; `partner` covers every slot below the
+        maximum degree), and it ends on entering a slot whose partner the
+        vertex lacks.  The open trails, which start on the darts whose
+        partner slot is missing, go first, then the closed walks over the
+        remaining darts.  So each pair {s, partner[s]} at a vertex is
+        entered once and left once, or only one of the two when a slot is
+        missing.  When `partner` is an involution without fixed points, no
+        walk uses an edge in both directions: such a walk would be its own
+        reverse, which needs a slot that is its own partner.
+        """
+        twin = self.twin
+        # Per degree, then per dart: the offset from a slot to its
+        # partner, or None where the vertex lacks the partner slot.
+        step = {
+            k: [p - s if p < k else None for s, p in enumerate(partner[:k])]
+            for k in set(self.degree)
+        }
+        jump = list(chain.from_iterable(map(step.__getitem__, self.degree)))
+        # 0: edge not yet walked; 1: walked out of this dart; 2: walked into it.
+        used = bytearray(len(twin))
+        starts = (d for d, j in enumerate(jump) if j is None)
+        for d0 in chain(starts, range(len(twin))):
+            d = d0
+            while not used[d]:
+                used[d] = 1
+                t = twin[d]
+                used[t] = 2
+                if jump[t] is None:
+                    break
+                d = t + jump[t]
+            else:
+                assert d == d0, "walk hit a directed edge before closing"
+        return used
+
 
 def find(parent, x):
     """Union-find root of x with path halving; `parent` maps each item to
@@ -164,6 +212,18 @@ class CoverSpec:
 
 
 BASIC_SPEC = CoverSpec(1, 2)
+
+
+def coverable_slots(g: RotationGraph, spec: CoverSpec) -> int:
+    """Σ_v min(deg v, a·m), the most edges an (a, m) assignment covers.
+
+    A covered edge takes a covered slot of its own, and a vertex covers
+    at most min(deg, a·m) slots, so more edges to cover than this sum is
+    a NO without a search.
+    """
+    c = spec.a * spec.m
+    return sum(d if d < c else c for d in g.dart_index.degree)
+
 
 # The exhaustive search's default budget, a bound on its decisions plus
 # conflicts (`solve.oracle_solve`); the CLI's ANGLESET_BUDGET default.

@@ -4,8 +4,10 @@ A graph has low edge density when every k-vertex subgraph has at most 2k
 edges.  By Hakimi's theorem this holds exactly when every edge can be
 given to one of its endpoints so that no vertex holds more than two
 (a loop goes to its one vertex).  `check_low_density` builds such an
-assignment on the graph itself: a greedy pass, then one breadth-first
-path reversal per edge the greedy pass could not place.  When an edge
+assignment on the graph itself: the dart index's slot-pairing walk
+(`DartIndex.walk`, slot s paired with s ^ 1) directs every edge, each
+vertex keeps at most two of the edges directed into it, and each edge
+it cannot keep gets one breadth-first path reversal.  When an edge
 stays unplaced, the vertices that the failed searches visited span
 more than twice as many edges as they have vertices, and that set is
 the witness.
@@ -19,6 +21,7 @@ as an independent reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 
 from .allocate import maximum_matching
 from .core import RotationGraph
@@ -50,17 +53,19 @@ def check_low_density(g: RotationGraph) -> DensityReport:
 
     Hakimi (1965): the edges can be oriented with in-degree at most 2
     everywhere iff no vertex set S spans more than 2|S| edges.  Here a
-    vertex "holds" the edges directed into it.  Each edge in sorted order
-    first goes to its less-loaded endpoint if that one holds fewer than
-    two.  Each deferred edge then gets one breadth-first search from its
-    endpoints: a vertex x holding f = (x, y) steps to y, since f could
-    move there, and reaching a vertex with spare room reverses the path.
-    A failed search visited a set that is full and closed under those
-    steps; no later reversal can enter it, so it is marked dead and never
-    searched again, and an edge with both endpoints dead stays unplaced
-    at once.  Once every edge has been tried, no unplaced edge can be
-    placed by any reversal: the assignment places as many edges as
-    possible.
+    vertex "holds" the edges directed into it.  The walk that pairs slot
+    s with slot s ^ 1 enters each vertex once per slot pair, so it
+    directs ⌊deg/2⌋ or ⌈deg/2⌉ edges into each vertex (two at degree 4,
+    where no search is needed).  Each vertex holds the first two of them
+    in dart order and defers the rest.  Each deferred edge then gets one
+    breadth-first search from its endpoints: a vertex x holding f = (x, y)
+    steps to y, since f could move there, and reaching a vertex with
+    spare room reverses the path.  A failed search visited a set that is
+    full and closed under those steps; no later reversal can enter it, so
+    it is marked dead and never searched again, and an edge with both
+    endpoints dead stays unplaced at once.  Once every edge has been
+    tried, no unplaced edge can be placed by any reversal: the assignment
+    places as many edges as possible.
 
     The witness S is the dead set.  Each dead vertex was reached from
     the endpoints of the unplaced edge whose search failed there, and
@@ -70,46 +75,45 @@ def check_low_density(g: RotationGraph) -> DensityReport:
     the unplaced ones.  As a matching of edges to vertex copies, S is the
     endpoint set of the edges alternating-reachable from the unmatched
     ones, which is the same for every maximum matching (Dulmage and
-    Mendelsohn), so the witness does not depend on the search order.
+    Mendelsohn), so the witness depends on neither the walk nor the
+    search order.
 
     The `matching` map gives each placed edge its vertex and a copy, 0 or
     1, numbered in edge order among the edges that vertex holds.
     """
-    verts = list(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    eids = sorted(g.edges)
-    pairs = [g.edges[e] for e in eids]
-    # Edge f joins tail[f] and xo[f] ^ tail[f]; its other end seen from
-    # either end x is xo[f] ^ x (x itself for a loop).
-    tail = [index[u] for u, _ in pairs]
-    xo = [index[u] ^ index[v] for u, v in pairs]
-    n = len(verts)
+    ix = g.dart_index
+    twin, degree = ix.twin, ix.degree
+    n = len(degree)
+    # Vertices are numbered 0..n-1 in the order of `ix.first`, so an
+    # isolated vertex has a number of its own; own[d] is dart d's.
+    own = list(chain.from_iterable(map(repeat, range(n), degree)))
+    marks = ix.walk([s ^ 1 for s in range(max(degree, default=0))])
     load = [0] * n
-    held = [-1] * (2 * n)  # slots 2x and 2x + 1: the edges x holds
+    held = [-1] * (2 * n)  # slots 2x and 2x + 1: the darts x holds edges by
     deferred = []
-    for f, u in enumerate(tail):
-        v = xo[f] ^ u
-        if load[v] < load[u]:
-            u = v
-        if load[u] < 2:
-            held[2 * u + load[u]] = f
-            load[u] += 1
+    for d in compress(range(len(twin)), map((2).__eq__, marks)):
+        x = own[d]
+        if load[x] < 2:
+            held[2 * x + load[x]] = d
+            load[x] += 1
         else:
-            deferred.append(f)
+            deferred.append(d)
 
     dead = [False] * n
     seen = [0] * n  # the search that last visited each vertex
-    via = [-1] * n  # the held edge a search stepped along into each vertex
+    via = [-1] * n  # the held dart a search stepped along into each vertex
     for search, f in enumerate(deferred, 1):
-        u = tail[f]
-        queue = [x for x in {u, xo[f] ^ u} if not dead[x]]
+        u, w = own[f], own[twin[f]]
+        if dead[u] and dead[w]:
+            continue
+        queue = [x for x in {u, w} if not dead[x]]
         for x in queue:
             seen[x], via[x] = search, -1
         for x in queue:
             if load[x] < 2:
                 break
             for h in held[2 * x], held[2 * x + 1]:
-                y = xo[h] ^ x
+                y = own[twin[h]]
                 if seen[y] != search and not dead[y]:
                     seen[y], via[y] = search, h
                     queue.append(y)
@@ -122,17 +126,22 @@ def check_low_density(g: RotationGraph) -> DensityReport:
         s = 2 * x + load[x]
         load[x] += 1
         while via[x] >= 0:
-            h = held[s] = via[x]
-            x ^= xo[h]
+            h = via[x]
+            held[s] = twin[h]
+            x = own[h]
             s = 2 * x + (held[2 * x] != h)
-        held[s] = f
+        held[s] = f if own[f] == x else twin[f]
 
+    edge, vertex = ix.edge, ix.vertex
     matching = {}
-    for x, v in enumerate(verts):
-        mine = sorted(eids[h] for h in held[2 * x : 2 * x + 2] if h >= 0)
-        for c, e in enumerate(mine):
-            matching[e] = (v, c)
-    witness = frozenset(v for v, d in zip(verts, dead) if d)
+    for h, k in zip(held[0::2], held[1::2]):
+        if k >= 0 and edge[k] < edge[h]:
+            h, k = k, h
+        if h >= 0:
+            matching[edge[h]] = (vertex[h], 0)
+        if k >= 0:
+            matching[edge[k]] = (vertex[k], 1)
+    witness = frozenset(compress(ix.first, dead))
     if not witness:
         return DensityReport(True, matching)
     spanned = sum(1 for u, v in g.edges.values() if u in witness and v in witness)

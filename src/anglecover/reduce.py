@@ -22,6 +22,7 @@ from .core import (
     RotationGraph,
     UnsupportedInputError,
     check_cover,
+    coverable_slots,
 )
 from .transform import Multigraph
 
@@ -385,14 +386,13 @@ def max_coverage(
 
     Asks the oracle for an assignment that leaves at most k edges
     uncovered for k = k0, k0 + 1, ...; the first YES is at the minimum k.
-    A vertex covers at most min(deg, a * m) slots, so no assignment
-    covers more edges than their sum, and every k below k0 = |E| minus
-    that sum is a NO that needs no search.
+    No assignment covers more edges than `coverable_slots`, so every k
+    below k0 = |E| minus that count is a NO that needs no search.
     """
     from .solve import oracle_solve
 
-    reach = sum(min(g.deg(v), spec.a * spec.m) for v in g.vertices)
-    k = max(0, len(g.edges) - reach)  # at k = |E| the oracle answers YES
+    # At k = |E| the oracle answers YES.
+    k = max(0, len(g.edges) - coverable_slots(g, spec))
     while (cert := oracle_solve(g, spec, budget, uncovered=k)).is_no:
         k += 1
     if not cert.is_yes:

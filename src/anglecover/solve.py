@@ -8,15 +8,14 @@ orientation), the linear-time max-degree-4 solver, the
 2-SAT solver for graphs without degree-3 vertices, the sextet-based
 solver for even maximum degree, and the outerplane entry point (an
 embedding check in front of the oracle).  The max-degree-4 and sextet
-solvers are one slot-pairing walk on the dart index (`_walk_cover`);
-they differ only in the pairing.
+solvers are one slot-pairing walk on the dart index (`DartIndex.walk`,
+through `_walk_cover`); they differ only in the pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from heapq import heappop, heappush
-from itertools import chain
 from operator import eq, lt, not_, or_
 
 from .core import (
@@ -28,6 +27,7 @@ from .core import (
     CoverSpec,
     RotationGraph,
     UnsupportedInputError,
+    coverable_slots,
     trace_faces,
 )
 
@@ -72,13 +72,12 @@ def _cover(g: RotationGraph, marks, m: int, a: int) -> Certificate:
     slots get a minimum cover by arcs of width min(m, deg), at most `a`
     of them, computed once per distinct row of marks.
     """
-    first = g.dart_index.first
+    ix = g.dart_index
     marks = bytes(marks)
     angles: dict[int, tuple[Angle, ...]] = {}
     arcs_of: dict[bytes, tuple[int, list[int]]] = {}  # row -> width, arc starts
-    for v in sorted(g.vertices):
-        deg = g.deg(v)
-        row = marks[first[v] : first[v] + deg]
+    for (v, f), deg in zip(ix.first.items(), ix.degree):
+        row = marks[f : f + deg]
         hit = arcs_of.get(row)
         if hit is None:
             slots = [s for s in range(deg) if row[s] == 1]
@@ -449,10 +448,7 @@ def oracle_solve(
             watches[d].append([d, twin[d]])
             watches[twin[d]].append(watches[d][-1])
 
-    # A covered edge takes a slot of its own and a vertex covers at most
-    # min(deg, a * m) slots, so more than that many edges to cover is a
-    # NO without a search.
-    if len(g.edges) - k > sum(cap[f] for v, f in first.items() if deg[v]):
+    if len(g.edges) - k > coverable_slots(g, spec):
         return Certificate("NO")
 
     decisions = conflicts = learned = restarts = tight = 0
@@ -519,41 +515,10 @@ def oracle_solve(
 def _walk_cover(g: RotationGraph, partner, a: int) -> Certificate:
     """Cover g with at most `a` angles per vertex from one slot-pairing walk.
 
-    Partitions the darts of g into walks that, entering a vertex on slot
-    s, leave it on slot partner[s] (a fixed transition system), and end
-    on entering a slot whose partner the vertex lacks.  The open trails,
-    which start on the darts whose partner slot is missing, go first,
-    then the closed walks over the remaining darts.  So a pair {s,
-    partner[s]} holds one outgoing slot per vertex, or at most one if a
-    slot is missing, and the outgoing slots get a minimum arc cover of
-    width 2.  No walk uses an edge in both directions: such a walk would
-    be its own reverse, which needs a slot that is its own partner.
+    `DartIndex.walk` leaves each vertex at most once per pair {s,
+    partner[s]}; the slots it leaves on get a minimum arc cover of width 2.
     """
-    twin = g.dart_index.twin
-    # Per degree, then per dart: the offset from a slot to its partner,
-    # or None where the vertex lacks the partner slot.
-    degs = [g.deg(v) for v in sorted(g.vertices)]
-    step = {
-        k: [p - s if p < k else None for s, p in enumerate(partner[:k])]
-        for k in set(degs)
-    }
-    jump = list(chain.from_iterable(map(step.__getitem__, degs)))
-    # 0: edge not yet walked; 1: walked out of this dart; 2: walked into it.
-    used = bytearray(len(twin))
-    starts = (d for d, j in enumerate(jump) if j is None)
-    for d0 in chain(starts, range(len(twin))):
-        d = d0
-        while not used[d]:
-            used[d] = 1
-            t = twin[d]
-            used[t] = 2
-            if jump[t] is None:
-                break
-            d = t + jump[t]
-        else:
-            assert d == d0, "walk hit a directed edge before closing"
-    del jump
-    return _cover(g, used, 2, a)
+    return _cover(g, g.dart_index.walk(partner), 2, a)
 
 
 def solve_deg4(g: RotationGraph) -> Certificate:
@@ -599,9 +564,13 @@ def solve_no_deg3(g: RotationGraph) -> Certificate:
     covered here"), numbered as the dart; a coverage clause per edge
     between such vertices and an exclusion clause per non-consecutive
     slot pair.  Vertices of degree <= 2 cover all of their edges outright.
+    More edges than coverable slots (`coverable_slots`) is a NO before
+    the implication graph is built.
     """
     if any(g.deg(v) == 3 for v in g.vertices):
         raise UnsupportedInputError("graph has a degree-3 vertex")
+    if len(g.edges) > coverable_slots(g, BASIC_SPEC):
+        return Certificate("NO")
     ix = g.dart_index
     twin = ix.twin
     high = [g.deg(v) >= 4 for v in ix.vertex]  # per dart

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from anglecover.core import BASIC_SPEC, CoverSpec, check_cover, trace_faces
+from anglecover.core import BASIC_SPEC, CoverSpec, check_cover, coverable_slots, trace_faces
 from anglecover.density import check_low_density
 from anglecover.instances import (
     gen_henneberg_laman,
@@ -102,12 +102,15 @@ def test_criterion_02_figure_corpus_verdicts():
 
 def test_criterion_03_no_degree3_equivalence():
     rng = random.Random(3)
+    scc_no = 0  # NO answers that the slot count does not give
     for seed in range(200):
         g = random_fixed_degree_graph(rng, rng.randint(2, 12), (1, 2, 4, 5))
         cert = solve_no_deg3(g)
         assert cert.verdict == oracle_solve(g).verdict, seed
+        scc_no += cert.is_no and len(g.edges) <= coverable_slots(g, BASIC_SPEC)
         if cert.is_yes:
             assert check_cover(g, cert.assignment, BASIC_SPEC).valid, seed
+    assert scc_no
 
 
 def _random_topological(rng):

@@ -5,6 +5,7 @@ import time
 from hypothesis import given, settings, strategies as st
 
 from anglecover.cli import main
+from anglecover.core import RotationGraph
 from anglecover.density import check_low_density, max_bipartite_matching
 from anglecover.fileio import serialize_instance
 from anglecover.instances import gen_henneberg_laman, random_henneberg_steps
@@ -13,6 +14,7 @@ from conftest import (
     brute_low_density,
     complete_rotation_graph,
     matching_density_witness,
+    random_fixed_degree_graph,
     random_rotation_graph,
     rotation_graph,
 )
@@ -157,12 +159,116 @@ def test_failed_search_region_is_not_searched_again():
     rep = check_low_density(rotation_graph(pairs))
     assert time.perf_counter() - t0 < 1.0
     assert not rep.low_density and rep.witness == frozenset({0, 1})
-    # Vertex 1 first holds the edge into a full doubled 5000-cycle, so a
-    # failed search from {0, 1} crosses the whole cycle; the isolated
-    # vertex 5002 keeps spare room in the graph, so only the dead-set rule
-    # keeps the 4997 later searches from crossing it again.
+    # Vertex 1 holds one of its two edges to vertex 2 (the walk enters it
+    # on one of the pair at slots 0 and 1, and keeps that first), so a
+    # failed search from {0, 1} crosses the whole full doubled 5000-cycle
+    # through 2.  Only the dead-set rule keeps the 4997 later searches
+    # from crossing it again, about 25 million vertex visits.
     cycle = [(v, 2 + (v - 1) % 5000) for v in range(2, 5002) for _ in range(2)]
     t0 = time.perf_counter()
-    rep = check_low_density(rotation_graph([(1, 2)] + [(0, 1)] * 5000 + cycle, n=5003))
+    rep = check_low_density(rotation_graph([(1, 2)] * 2 + [(0, 1)] * 5000 + cycle))
     assert time.perf_counter() - t0 < 1.0
     assert not rep.low_density and rep.witness == frozenset(range(5002))
+
+
+# The orientation starts from the dart index's slot-pairing walk; these
+# cases check it where the walk or the per-vertex arrays could go wrong.
+
+
+def _check_density(g):
+    """check_low_density against the references: the subset search where
+    it is small enough, the matching witness always, and a valid map of
+    every edge to a copy of an endpoint on YES.  Returns the verdict."""
+    rep = check_low_density(g)
+    witness = matching_density_witness(g)
+    if len(g.vertices) <= 12:
+        assert rep.low_density == brute_low_density(g)
+    assert rep.low_density == (witness is None)
+    if not rep.low_density:
+        assert rep.witness == witness
+        return False
+    assert sorted(rep.matching) == sorted(g.edges)
+    assert all(rep.matching[e][0] in ends for e, ends in g.edges.items())
+    assert len(set(rep.matching.values())) == len(g.edges)
+    copies = {}  # vertex -> its copies, in edge order
+    for e in sorted(rep.matching):
+        v, c = rep.matching[e]
+        copies.setdefault(v, []).append(c)
+    assert all(cs in ([0], [0, 1]) for cs in copies.values())
+    return True
+
+
+def _shuffled(rng, vertices, pairs):
+    """RotationGraph on `vertices` with edges `pairs` and random rotations."""
+    rotation = {v: [] for v in vertices}
+    for e, (u, v) in enumerate(pairs):
+        rotation[u].append(e)
+        rotation[v].append(e)
+    for rot in rotation.values():
+        rng.shuffle(rot)
+    return RotationGraph.build(vertices, dict(enumerate(pairs)), rotation)
+
+
+def test_density_with_isolated_vertices_between_the_others():
+    # Vertex v of a random graph becomes 2v + 1 and every even vertex is
+    # isolated, so isolated vertices sit between the others in the dart
+    # order and share their successor's slot-0 dart.
+    rng = random.Random(21)
+    answers = set()
+    for _ in range(300):
+        g = random_rotation_graph(rng, n_max=5, e_max=14, loops=True)
+        pairs = [(2 * u + 1, 2 * v + 1) for u, v in g.edges.values()]
+        h = _shuffled(rng, range(2 * len(g.vertices) + 1), pairs)
+        answers.add(_check_density(h))
+    assert answers == {True, False}
+
+
+def test_density_with_loop_only_vertices():
+    rng = random.Random(22)
+    answers = set()
+    for _ in range(300):
+        g = random_rotation_graph(rng, n_max=6, e_max=12, loops=True)
+        n = len(g.vertices)
+        pairs = list(g.edges.values())
+        extra = rng.randint(1, 3)
+        for v in range(n, n + extra):
+            pairs += [(v, v)] * rng.randint(1, 3)
+        rng.shuffle(pairs)
+        answers.add(_check_density(_shuffled(rng, range(n + extra), pairs)))
+    assert answers == {True, False}
+
+
+def test_density_with_odd_degrees():
+    # Odd-degree vertices lack the partner of their last slot, so the walk
+    # has open trails that start and end there.  Odd degrees need an even
+    # number of vertices.
+    rng = random.Random(23)
+    answers = set()
+    for _ in range(300):
+        g = random_fixed_degree_graph(rng, 2 * rng.randint(1, 5), (1, 3, 5, 7))
+        answers.add(_check_density(g))
+    assert answers == {True, False}
+
+
+def test_density_with_a_hub_among_degree_2_and_3_vertices():
+    # A hub joined to most vertices of a 1500-vertex path (the shape of a
+    # Henneberg-built Laman graph): the walk directs about half of the
+    # hub's edges into it, and all but two of them need a search.  The
+    # fan is sparse; an extra K5 plus a parallel edge, hung from a path
+    # vertex, makes it dense.  The subset search is out of reach here, so
+    # the verdict is checked against the matching witness alone.
+    rng = random.Random(24)
+    for dense in (False, True):
+        for _ in range(3):
+            k = 1500
+            pairs = [(v, v + 1) for v in range(1, k)]
+            pairs += [(0, v) for v in range(1, k + 1) if v in (1, k) or rng.random() < 0.7]
+            n = k + 1
+            if dense:
+                block = [(n + i, n + j) for i in range(5) for j in range(i + 1, 5)]
+                pairs += block + [block[0], (n, rng.randint(1, k))]
+                n += 5
+            rng.shuffle(pairs)
+            g = _shuffled(rng, range(n), pairs)
+            assert g.deg(0) >= 1000
+            assert _check_density(g) is not dense

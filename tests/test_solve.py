@@ -11,6 +11,7 @@ from anglecover.core import (
     RotationGraph,
     UnsupportedInputError,
     check_cover,
+    coverable_slots,
     trace_faces,
 )
 from anglecover.instances import (
@@ -278,14 +279,34 @@ def test_solve_deg4_on_generator_output():
                 assert check_cover(h, cert.assignment, BASIC_SPEC).valid
 
 
+def _decided_by_scc(g, cert):
+    """A NO that the slot count in front of the implication graph does
+    not give, so the SCC search found it."""
+    return cert.is_no and len(g.edges) <= coverable_slots(g, BASIC_SPEC)
+
+
 def test_solve_no_deg3_matches_oracle():
     rng = random.Random(41)
+    scc_no = 0
     for _ in range(150):
         g = random_fixed_degree_graph(rng, rng.randint(2, 8), (1, 2, 4, 5))
         cert = solve_no_deg3(g)
         assert cert.verdict == oracle_solve(g).verdict
+        scc_no += _decided_by_scc(g, cert)
         if cert.is_yes:
             assert check_cover(g, cert.assignment, BASIC_SPEC).valid
+    assert scc_no
+
+
+def test_solve_no_deg3_counts_before_the_implication_graph():
+    # 16-regular: 8n edges and 2n coverable slots, a NO by counting.  A
+    # degree-3 vertex is refused before the count, over-full or not.
+    assert solve_no_deg3(gen_regular(200, 16, 1)).is_no
+    tripled = [(0, 1), (0, 2), (1, 2), (3, 0)] * 3
+    g = rotation_graph(tripled)
+    assert g.deg(3) == 3 and len(g.edges) > coverable_slots(g, BASIC_SPEC)
+    with pytest.raises(UnsupportedInputError):
+        solve_no_deg3(g)
 
 
 def _with_loops(rng, g):
@@ -306,14 +327,17 @@ def test_solve_no_deg3_matches_oracle_at_high_degree():
     # Degrees up to 8, with and without extra loops, exercise the
     # per-dart variables at vertices with many slots.
     rng = random.Random(43)
+    scc_no = 0
     for i in range(300):
         g = random_fixed_degree_graph(rng, rng.randint(1, 7), (1, 2, 4, 6, 8))
         if i % 2:
             g = _with_loops(rng, g)
         cert = solve_no_deg3(g)
         assert cert.verdict == oracle_solve(g).verdict, i
+        scc_no += _decided_by_scc(g, cert)
         if cert.is_yes:
             assert check_cover(g, cert.assignment, BASIC_SPEC).valid, i
+    assert scc_no
 
 
 def test_solve_sextet_produces_valid_cover():
