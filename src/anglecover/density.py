@@ -6,8 +6,9 @@ given to one of its endpoints so that no vertex holds more than two
 (a loop goes to its one vertex).  `check_low_density` builds such an
 assignment on the graph itself: the dart index's slot-pairing walk
 (`DartIndex.walk`, slot s paired with s ^ 1) directs every edge, each
-vertex keeps at most two of the edges directed into it, and each edge
-it cannot keep gets one breadth-first path reversal.  When an edge
+vertex keeps at most two of the edges directed into it, an edge into a
+full vertex goes to its other end when that end has room, and each edge
+neither end can take gets one breadth-first path reversal.  When an edge
 stays unplaced, the vertices that the failed searches visited span
 more than twice as many edges as they have vertices, and that set is
 the witness.
@@ -56,11 +57,13 @@ def check_low_density(g: RotationGraph) -> DensityReport:
     vertex "holds" the edges directed into it.  The walk that pairs slot
     s with slot s ^ 1 enters each vertex once per slot pair, so it
     directs ⌊deg/2⌋ or ⌈deg/2⌉ edges into each vertex (two at degree 4,
-    where no search is needed).  Each vertex holds the first two of them
-    in dart order and defers the rest.  Each deferred edge then gets one
-    breadth-first search from its endpoints: a vertex x holding f = (x, y)
-    steps to y, since f could move there, and reaching a vertex with
-    spare room reverses the path.  A failed search visited a set that is
+    where no search is needed).  In dart order, each vertex holds the
+    edges directed into it while it holds fewer than two; a further one
+    goes to its other end if that end holds fewer than two, and is
+    deferred otherwise.  Each deferred edge then gets one breadth-first
+    search from its endpoints: a vertex x holding f = (x, y) steps to y,
+    since f could move there, and reaching a vertex with spare room
+    reverses the path.  A failed search visited a set that is
     full and closed under those steps; no later reversal can enter it, so
     it is marked dead and never searched again, and an edge with both
     endpoints dead stays unplaced at once.  Once every edge has been
@@ -93,6 +96,9 @@ def check_low_density(g: RotationGraph) -> DensityReport:
     deferred = []
     for d in compress(range(len(twin)), map((2).__eq__, marks)):
         x = own[d]
+        if load[x] == 2:  # a full vertex passes the edge to its other end
+            d = twin[d]
+            x = own[d]
         if load[x] < 2:
             held[2 * x + load[x]] = d
             load[x] += 1

@@ -97,13 +97,12 @@ def serialize_instance(g: RotationGraph | TopologicalGraph) -> str:
     tg = None if isinstance(g, RotationGraph) else g
     if tg is not None:
         g = tg.base
-    lines = [f"v {v}" for v in sorted(g.vertices)]
-    for e in sorted(g.edges):
-        u, v = g.edges[e]
-        lines.append(f"e {e} {u} {v}")
-    for v in sorted(g.vertices):
-        rot = g.rotation.get(v, ())
-        lines.append(f"rot {v}: {' '.join(str(e) for e in rot)}".rstrip())
+    vertices, edges, rotation = sorted(g.vertices), g.edges, g.rotation
+    lines = [f"v {v}" for v in vertices]
+    lines += [f"e {e} {u} {v}" for e in sorted(edges) for u, v in (edges[e],)]
+    lines += [
+        f"rot {v}: {' '.join(map(str, rotation.get(v, ())))}".rstrip() for v in vertices
+    ]
     if tg is not None:
         for x in sorted(tg.crossings):
             cr = tg.crossings[x]

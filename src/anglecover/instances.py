@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .core import Angle, AngleAssignment, RotationGraph, find
 
@@ -412,14 +413,57 @@ def get_instance(name: str) -> NamedInstance:
 # Random generators (deterministic per seed).
 
 
-def _random_rotations(edges: dict[int, tuple[int, int]], n: int, rng) -> dict:
-    incident: dict[int, list[int]] = {v: [] for v in range(n)}
+class _RankList:
+    """A list of distinct items with append, remove by value and `[k]`, each
+    O(log n) where `list.remove` is O(n): a Fenwick tree (Fenwick 1994)
+    counts the live items among append-only slots."""
+
+    def __init__(self, items=()):
+        self._items, self._tree, self._pos = [], [0], {}  # tree is 1-based
+        for x in items:
+            self.append(x)
+
+    def __len__(self) -> int:
+        return len(self._pos)
+
+    def append(self, x) -> None:
+        i = self._pos[x] = len(self._tree)
+        self._items.append(x)
+        # Node i counts the live slots in (i - lowbit(i), i].
+        total, j, stop = 1, i - 1, i - (i & -i)
+        while j > stop:
+            total += self._tree[j]
+            j -= j & -j
+        self._tree.append(total)
+
+    def remove(self, x) -> None:
+        i, tree, size = self._pos.pop(x), self._tree, len(self._tree)
+        while i < size:
+            tree[i] -= 1
+            i += i & -i
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < len(self._pos):
+            raise IndexError(k)
+        tree, i, size = self._tree, 0, len(self._tree)
+        step = 1 << (size.bit_length() - 1)
+        while step:
+            j = i + step
+            if j < size and tree[j] <= k:
+                i, k = j, k - tree[j]
+            step >>= 1
+        return self._items[i]
+
+
+def _random_rotation_graph(edges: dict[int, tuple[int, int]], n: int, rng) -> RotationGraph:
+    """The graph on vertices 0..n-1 with each rotation a random shuffle."""
+    incident: list[list[int]] = [[] for _ in range(n)]
     for e, (u, v) in sorted(edges.items()):
         incident[u].append(e)
         incident[v].append(e)
-    for slots in incident.values():
+    for slots in incident:
         rng.shuffle(slots)
-    return incident
+    return RotationGraph(tuple(range(n)), edges, dict(enumerate(map(tuple, incident))))
 
 
 def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
@@ -431,8 +475,8 @@ def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
     rng = random.Random(seed)
     capacity = [dmax] * n
     edges: dict[int, tuple[int, int]] = {}
-    open_slots: list[int] = [0] if dmax > 0 else []
     # open_slots holds exactly the vertices with spare capacity.
+    open_slots = _RankList([0] if dmax > 0 else [])
     for v in range(1, n):
         u = open_slots[rng.randrange(len(open_slots))]
         edges[len(edges)] = (u, v)
@@ -460,7 +504,7 @@ def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
         for w in {u, v}:
             if capacity[w] == 0:
                 open_slots.remove(w)
-    return RotationGraph.build(range(n), edges, _random_rotations(edges, n, rng))
+    return _random_rotation_graph(edges, n, rng)
 
 
 def gen_regular(n: int, d: int, seed) -> RotationGraph:
@@ -475,7 +519,7 @@ def gen_regular(n: int, d: int, seed) -> RotationGraph:
     edges = {
         i: (stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)
     }
-    return RotationGraph.build(range(n), edges, _random_rotations(edges, n, rng))
+    return _random_rotation_graph(edges, n, rng)
 
 
 def random_henneberg_steps(k: int, seed) -> list[tuple]:
@@ -484,7 +528,7 @@ def random_henneberg_steps(k: int, seed) -> list[tuple]:
         raise ValueError(f"need k >= 0 steps, got {k}")
     rng = random.Random(seed)
     n = 2
-    edge_ids = [0]
+    edge_ids = _RankList([0])
     next_edge = 1
     steps: list[tuple] = []
     for _ in range(k):
@@ -492,7 +536,8 @@ def random_henneberg_steps(k: int, seed) -> list[tuple]:
             e = rng.choice(edge_ids)
             steps.append(("s2", e, None))  # third endpoint picked at build time
             edge_ids.remove(e)
-            edge_ids += [next_edge, next_edge + 1, next_edge + 2]
+            for x in range(next_edge, next_edge + 3):
+                edge_ids.append(x)
             next_edge += 3
         else:
             u = rng.randrange(n)
@@ -500,7 +545,8 @@ def random_henneberg_steps(k: int, seed) -> list[tuple]:
             while v == u:
                 v = rng.randrange(n)
             steps.append(("s1", u, v))
-            edge_ids += [next_edge, next_edge + 1]
+            edge_ids.append(next_edge)
+            edge_ids.append(next_edge + 1)
             next_edge += 2
         n += 1
     return steps
@@ -542,7 +588,7 @@ def gen_henneberg_laman(steps: list[tuple], seed) -> RotationGraph:
         else:
             raise ValueError(f"unknown step kind {step[0]!r}")
         n += 1
-    return RotationGraph.build(range(n), edges, _random_rotations(edges, n, rng))
+    return _random_rotation_graph(edges, n, rng)
 
 
 def gen_random_outerplane(n: int, seed) -> RotationGraph:
@@ -586,43 +632,44 @@ def gen_random_plane_deg4(n: int, seed) -> RotationGraph:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     side = max(2, math.isqrt(n - 1) + 1)
-    # Random walk collects n distinct cells.
-    cells = [(0, 0)]
-    taken = {(0, 0)}
-    cur = (0, 0)
-    while len(taken) < n:
-        x, y = cur
-        nbrs = [
-            (x + dx, y + dy)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            if 0 <= x + dx < side and 0 <= y + dy < side
-        ]
-        cur = nbrs[rng.randrange(len(nbrs))]
-        if cur not in taken:
-            taken.add(cur)
-            cells.append(cur)
-    index = {c: i for i, c in enumerate(cells)}
+    # Cell (x, y) is x * side + y; nbrs[c] lists its neighbours in the
+    # order +x, -x, +y, -y.
+    moves = ((side, 1, 0), (-side, -1, 0), (1, 0, 1), (-1, 0, -1))
+    nbrs = [
+        tuple(c + d for d, dx, dy in moves if 0 <= x + dx < side and 0 <= y + dy < side)
+        for c, (x, y) in enumerate(product(range(side), repeat=2))
+    ]
+    # Random walk collects n distinct cells, numbered as it reaches them.
+    index = {0: 0}
+    cur = 0
+    while len(index) < n:
+        options = nbrs[cur]
+        cur = options[rng.randrange(len(options))]
+        index.setdefault(cur, len(index))
     # Spanning tree over the taken cells, then extra grid edges at random.
+    # A candidate is (vertex, its +x or +y neighbour, 0 for +x or 1 for +y).
     candidates = []
-    for (x, y) in cells:
-        for dx, dy in ((1, 0), (0, 1)):
-            other = (x + dx, y + dy)
-            if other in taken:
-                candidates.append(((x, y), other))
+    for c, i in index.items():
+        if c + side in index:
+            candidates.append((i, index[c + side], 0))
+        if (c + 1) % side and c + 1 in index:  # y + 1 < side
+            candidates.append((i, index[c + 1], 1))
     rng.shuffle(candidates)
     parent = list(range(n))
     chosen = []
     extras = []
-    for c1, c2 in candidates:
-        a, b = find(parent, index[c1]), find(parent, index[c2])
+    for cand in candidates:
+        a, b = find(parent, cand[0]), find(parent, cand[1])
         if a != b:
             parent[a] = b
-            chosen.append((c1, c2))
+            chosen.append(cand)
         else:
-            extras.append((c1, c2))
+            extras.append(cand)
     chosen += [e for e in extras if rng.random() < 0.5]
-    names = [f"c{i}" for i in range(n)]
-    pos = {f"c{index[c]}": c for c in cells}
-    edge_list = [(f"c{index[c1]}", f"c{index[c2]}") for c1, c2 in chosen]
-    g, _ = _graph_from_coords(names, pos, edge_list)
-    return g
+    # Counterclockwise from the east: slots +x, +y, -x, -y.
+    slots = [[-1] * 4 for _ in range(n)]
+    for e, (a, b, k) in enumerate(chosen):
+        slots[a][k] = slots[b][k + 2] = e
+    edges = {e: (a, b) for e, (a, b, _) in enumerate(chosen)}
+    rotation = {v: tuple(e for e in row if e >= 0) for v, row in enumerate(slots)}
+    return RotationGraph(tuple(range(n)), edges, rotation)

@@ -97,6 +97,8 @@ def random_fixed_degree_graph(rng, n, degree_choices):
     """Configuration-model multigraph whose degrees all come from
     `degree_choices` (the last vertex may be adjusted for parity within
     the choice set)."""
+    if n % 2 and all(d % 2 for d in degree_choices):
+        raise ValueError(f"no graph on {n} vertices with odd degrees {degree_choices}")
     while True:
         degs = [rng.choice(degree_choices) for _ in range(n)]
         if sum(degs) % 2 == 0:

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from anglecover.cli import main
@@ -159,16 +160,19 @@ def test_failed_search_region_is_not_searched_again():
     rep = check_low_density(rotation_graph(pairs))
     assert time.perf_counter() - t0 < 1.0
     assert not rep.low_density and rep.witness == frozenset({0, 1})
-    # Vertex 1 holds one of its two edges to vertex 2 (the walk enters it
-    # on one of the pair at slots 0 and 1, and keeps that first), so a
-    # failed search from {0, 1} crosses the whole full doubled 5000-cycle
-    # through 2.  Only the dead-set rule keeps the 4997 later searches
-    # from crossing it again, about 25 million vertex visits.
+    # With the pair to vertex 2 at vertex 0, vertex 0 holds one of its two
+    # edges to vertex 2 (the walk enters it on one of the pair at slots 0
+    # and 1, and keeps that first), so a failed search from {0, 1} crosses
+    # the whole full doubled 5000-cycle through 2.  Only the dead-set rule
+    # keeps the 4997 later searches from crossing it again, about 25
+    # million vertex visits.  With the pair at vertex 1, vertex 0 passes
+    # its extra edges to vertex 1, which then holds none into the cycle.
     cycle = [(v, 2 + (v - 1) % 5000) for v in range(2, 5002) for _ in range(2)]
-    t0 = time.perf_counter()
-    rep = check_low_density(rotation_graph([(1, 2)] * 2 + [(0, 1)] * 5000 + cycle))
-    assert time.perf_counter() - t0 < 1.0
-    assert not rep.low_density and rep.witness == frozenset(range(5002))
+    for hub in (1, 0):
+        t0 = time.perf_counter()
+        rep = check_low_density(rotation_graph([(hub, 2)] * 2 + [(0, 1)] * 5000 + cycle))
+        assert time.perf_counter() - t0 < 1.0
+        assert not rep.low_density and rep.witness == frozenset(range(5002))
 
 
 # The orientation starts from the dart index's slot-pairing walk; these
@@ -250,10 +254,17 @@ def test_density_with_odd_degrees():
     assert answers == {True, False}
 
 
+def test_odd_degrees_on_an_odd_vertex_count_are_refused():
+    # The degree sum is odd whatever the draw, so redrawing could never end.
+    with pytest.raises(ValueError):
+        random_fixed_degree_graph(random.Random(0), 1, (3,))
+
+
 def test_density_with_a_hub_among_degree_2_and_3_vertices():
     # A hub joined to most vertices of a 1500-vertex path (the shape of a
     # Henneberg-built Laman graph): the walk directs about half of the
-    # hub's edges into it, and all but two of them need a search.  The
+    # hub's edges into it, and all but two of them go to their other ends
+    # or need a search.  The
     # fan is sparse; an extra K5 plus a parallel edge, hung from a path
     # vertex, makes it dense.  The subset search is out of reach here, so
     # the verdict is checked against the matching witness alone.

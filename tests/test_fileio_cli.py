@@ -406,6 +406,23 @@ def test_cli_instance_help_lists_the_catalogue(monkeypatch, capsys):
     assert listed.split(", ") == instance_names()
 
 
+def test_cli_gen_laman_at_scale():
+    src = os.path.dirname(os.path.dirname(anglecover.__file__))
+    t0 = time.perf_counter()
+    cmd = ["gen", "laman", "--steps", "40000", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "anglecover.cli", *cmd],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert time.perf_counter() - t0 < 5.0
+    assert proc.returncode == 0, proc.stderr
+    g = parse_instance(proc.stdout)
+    assert validate_graph(g) == []
+    assert len(g.vertices) == 40_002 and len(g.edges) == 2 * 40_002 - 3
+
+
 def test_cli_gen_laman_rejects_negative_steps(capsys):
     # A negative count once ran as 0 and printed the seed edge.
     assert main(["gen", "laman", "--steps", "-1", "--seed", "1"]) == 2

@@ -1,11 +1,14 @@
+import hashlib
 import random
 import time
 
 import pytest
 
 from anglecover.core import BASIC_SPEC, check_cover, trace_faces, validate_graph
+from anglecover.fileio import serialize_instance
 from anglecover.instances import (
     FIG3_ORIENTATION,
+    _RankList,
     gen_henneberg_laman,
     gen_random_bounded_degree,
     gen_random_outerplane,
@@ -151,3 +154,135 @@ def test_gen_plane_deg4_plane_and_bounded():
         assert validate_graph(g) == []
         assert max(g.deg(v) for v in g.vertices) <= 4
         assert trace_faces(g).genus == 0
+
+
+def _steps(k, seed):
+    return repr(random_henneberg_steps(k, seed))
+
+
+def _laman(k, seed):
+    return gen_henneberg_laman(random_henneberg_steps(k, seed), seed)
+
+
+# sha256 of each generated instance's serialization (of the repr, for a
+# step list).  Saved files and the benchmark name instances by generator
+# and seed, so a generator may change its speed but not its random draws.
+PINNED_BYTES = [
+    (gen_regular, (1, 0, 1),
+     "070426f783f196fe0c687665ceb2f0a9c0c7918f886450da552ba8cf8824caa7"),
+    (gen_regular, (9, 2, 2),
+     "78ce51b98d30ec8e89a5b55d0eb464d02fbfa5f98b010538506647d6281c5d15"),
+    (gen_regular, (24, 3, 3),
+     "3d64348a5c19d8757123efae2c7119b0ddb8e42290ae276a4be6132f58a77e32"),
+    (gen_regular, (40, 4, 4),
+     "4ea25d8663fcfa3735573acfc8576d6cd9acf683a843c5f105fda827ea98c604"),
+    (gen_regular, (31, 6, 5),
+     "609f857c9bf06f71c43b258397294ed79cc2b1e799d03c3e49b21aa5b10ec812"),
+    (gen_random_bounded_degree, (1, 0, 1),
+     "070426f783f196fe0c687665ceb2f0a9c0c7918f886450da552ba8cf8824caa7"),
+    (gen_random_bounded_degree, (2, 1, 2),
+     "920feed12cf5e3a6ec3720a100932f13f8d6daa5790121159f079423b128bc44"),
+    (gen_random_bounded_degree, (9, 2, 3),
+     "849383a189e4dcba2b6701cb87aa5119a39110d4ed7f2b798f02d7db17a22a64"),
+    (gen_random_bounded_degree, (40, 3, 4),
+     "2a6962cf1ea13803aad26da79f1493aeb8681ce7717ed072eb77b7723a5ab197"),
+    (gen_random_bounded_degree, (200, 4, 5),
+     "d751c239d1644e30bda3b31a62a32e09e16df5f8985e555016f25a0148874751"),
+    (gen_random_bounded_degree, (200, 5, 6),
+     "8408820f409c32c08dbd4820c2ccc52b9cf45dbc9272c4afb6c74533145e1dfc"),
+    (gen_random_bounded_degree, (1000, 6, 7),
+     "f532be40cff1f4ff7ada2d655c6840386fad89adc27c9431d6d999cd322cf87d"),
+    (gen_random_plane_deg4, (1, 1),
+     "070426f783f196fe0c687665ceb2f0a9c0c7918f886450da552ba8cf8824caa7"),
+    (gen_random_plane_deg4, (2, 2),
+     "920feed12cf5e3a6ec3720a100932f13f8d6daa5790121159f079423b128bc44"),
+    (gen_random_plane_deg4, (3, 3),
+     "248f0469d3ddb14305285c2482a57073ab03c11f792c7c5bf28b332bb0f7de92"),
+    (gen_random_plane_deg4, (17, 4),
+     "27b1d73a333c558495dca614638ae1a4b8777f4ef47f2f78343f5dd785acc22c"),
+    (gen_random_plane_deg4, (200, 5),
+     "02365ac3262e602e63997cc9b22a086e50a43324a35cb2965e9830ec1b781e59"),
+    (gen_random_plane_deg4, (1000, 6),
+     "725d7e63a73424b0092f427e247474fb9a9292c433063babcd3bb1052731bbdc"),
+    (_steps, (0, 1),
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (_steps, (12, 2),
+     "74b6edeeb3611f41960c051df9b3238d3edd95a5ae5fa34a8d6ff8a5b6158c2a"),
+    (_steps, (300, 3),
+     "781a4035e8c2cca54e276b6559e9fea8901e155ea842550beacc02e8f2b3e374"),
+    (_laman, (0, 1),
+     "920feed12cf5e3a6ec3720a100932f13f8d6daa5790121159f079423b128bc44"),
+    (_laman, (12, 2),
+     "59fbcc21a1003762edaebdcd201fb3db5cdff8599c3f891f33103ecef4d37189"),
+    (_laman, (300, 3),
+     "ae4bad33003befb7d671c46b19311085372f756fb4afe6ddc6ee4d66ca07886e"),
+    # The matching workload's instances at seed 1.
+    (gen_regular, (1500, 4, 101),
+     "3b9d9c45b9ecdd473892fe838896f49bea9a9200f8578826b8f561e7a08460a6"),
+    (gen_random_plane_deg4, (500, 1),
+     "d4d861feaff43b2327aadecb1ebab684a962e3b948ca6194c5d95d4c63df6965"),
+    (gen_random_plane_deg4, (500, 2),
+     "a40b70c32d8ef8bacc825c41043e6e6c921f748a25bf194c846b0ab43401f954"),
+    (gen_random_plane_deg4, (500, 3),
+     "848dad418aa81689a2d72dab6038884373f49fa98624b1a590fdfa892dea9b86"),
+    (gen_random_plane_deg4, (1000, 0),
+     "af2c274b1e890931d816080278d8a5fb6b6ad5fee5b6bfab7aef1c2d604e0747"),
+    (gen_regular, (30_000, 4, 102),
+     "e97da4a6be73d47b0aa69c8339856ba964b14665ad735389896ed0a508207189"),
+    (gen_regular, (30_000, 5, 103),
+     "1cb4ab0db2dc8b3580545ed661119fbb9d9dbe807a7378bb1d34f46e2b0a2cfa"),
+    (_laman, (9998, 104),
+     "6db31ca00b07d14f12446acb244478c15bed8e20f685f5393a58f676c8c06f6a"),
+    # The linear workload's plane instance at seed 1 and its pinned
+    # bounded-degree instance (15777 edges, 385 loops).
+    (gen_random_plane_deg4, (10_000, 102),
+     "1cfc82870538b19591d133aa92d485eaedfd8c1a31607ee4e754977b2c7b0c9d"),
+    (gen_random_bounded_degree, (10_000, 4, 3),
+     "909c7b062ab0c5cb25117c7108e962ab844bf65dcd0d7be61209d13aafac0d19"),
+]
+
+
+@pytest.mark.parametrize(
+    "gen, args, digest", PINNED_BYTES, ids=[f"{g.__name__}{a}" for g, a, _ in PINNED_BYTES]
+)
+def test_generated_bytes_are_pinned(gen, args, digest):
+    out = gen(*args)
+    text = out if isinstance(out, str) else serialize_instance(out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_rank_list_matches_a_list():
+    rng = random.Random(5)
+    for _ in range(200):
+        ref, ranked = [], _RankList()
+        for step in range(rng.randint(0, 60)):
+            if ref and rng.random() < 0.4:
+                x = rng.choice(ref)
+                ref.remove(x)
+                ranked.remove(x)
+            else:
+                ref.append(step)
+                ranked.append(step)
+            assert len(ranked) == len(ref)
+            assert [ranked[k] for k in range(len(ref))] == ref
+        for k in (-1, len(ref)):
+            with pytest.raises(IndexError):
+                ranked[k]
+
+
+def test_henneberg_steps_scale():
+    # One deletion from a plain list per subdivided edge made this
+    # quadratic: about 8 s at this size.
+    t0 = time.perf_counter()
+    steps = random_henneberg_steps(40_000, 1)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(steps) == 40_000
+
+
+def test_bounded_degree_scales():
+    # One deletion from a plain list per full vertex made this quadratic:
+    # about 37 s at this size and seed.
+    t0 = time.perf_counter()
+    g = gen_random_bounded_degree(100_000, 4, 2)
+    assert time.perf_counter() - t0 < 10.0
+    assert len(g.vertices) == 100_000 and g.max_degree() <= 4
