@@ -60,9 +60,13 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
                 vertices.add(int(toks[1]))
             elif kind == "x" and len(toks) == 5:
                 xid, e, f, bit = map(int, toks[1:])
+                if xid in crossings:
+                    raise FormatError(f"line {lineno}: duplicate crossing id {xid}")
                 crossings[xid] = (e, f, bit)
             elif kind == "seq" and len(toks) >= 2 and toks[1].endswith(":"):
                 e = int(toks[1][:-1])
+                if e in sequences:
+                    raise FormatError(f"line {lineno}: duplicate sequence for edge {e}")
                 sequences[e] = tuple(map(int, toks[2:]))
             else:
                 raise FormatError(f"line {lineno}: cannot parse {' '.join(toks)!r}")

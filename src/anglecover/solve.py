@@ -1,15 +1,16 @@
 """Cover-finding algorithms.
 
 Contains the exact oracle, a conflict-driven clause-learning search over
-dart literals that also keeps a capacity orientation of the edges and
-turns its failures into conflict clauses (with an allowance of uncovered
-edges, also the search behind `reduce.max_coverage`, without the
-orientation), the linear-time max-degree-4 solver, the
+dart literals (with an allowance of uncovered edges, also the search
+behind `reduce.max_coverage`), the linear-time max-degree-4 solver, the
 2-SAT solver for graphs without degree-3 vertices, the sextet-based
 solver for even maximum degree, and the outerplane entry point (an
-embedding check in front of the oracle).  The max-degree-4 and sextet
-solvers are one slot-pairing walk on the dart index (`DartIndex.walk`,
-through `_walk_cover`); they differ only in the pairing.
+embedding check in front of the oracle).  With no allowance the oracle
+keeps the package's capacity orientation (`core.Orientation`, c = a·m)
+and turns its failed repairs into conflict clauses.  The max-degree-4
+and sextet solvers are one slot-pairing walk on the dart index
+(`DartIndex.walk`, through `_walk_cover`); they differ only in the
+pairing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     DEFAULT_BUDGET,
     Certificate,
     CoverSpec,
+    Orientation,
     RotationGraph,
     UnsupportedInputError,
     coverable_slots,
@@ -128,15 +130,16 @@ def oracle_solve(
     With no allowance the search also counts (Hakimi's orientation
     theorem).  A cover gives each edge to an endpoint that covers it, so
     a vertex v holds at most c(v) = min(deg v, a·m) edges.  The search
-    keeps such an orientation that respects every true dart: it starts
-    with each edge at its less-loaded end, a dart that becomes true
-    moves its edge to its vertex, and after each trail step every vertex
-    over c(v) moves edges out by breadth-first path reversal along held,
-    unassigned edges.  A failed search is a full, closed vertex set S,
-    and the conflict clause negates the true darts that pull edges into
-    S from outside (explained flow propagation in the manner of Downing,
-    Feydy & Stuckey, CPAIOR 2012).  Backjumping only unassigns, so the
-    orientation it leaves is repaired without failing.
+    keeps such an orientation that respects every true dart, in
+    `core.Orientation` with c = a·m: the edges its start leaves unplaced
+    are given to a vertex over capacity, a dart that becomes true gives
+    its edge to its vertex, and after each trail step every vertex over
+    c(v) is repaired with the assigned edges pinned.  A failed repair
+    visited a full vertex set S, and the conflict clause negates the true
+    darts that pull edges into S from outside (explained flow propagation
+    in the manner of Downing, Feydy & Stuckey, CPAIOR 2012).  Backjumping
+    only unassigns, so the orientation it leaves is repaired without
+    failing.
     The search is CDCL with no randomness: 1-UIP learning, backjumping,
     two watched literals per learned clause, VSIDS, phase saving and
     Luby restarts.  A vertex of degree <= m covers its edges, and
@@ -152,7 +155,8 @@ def oracle_solve(
         budget = DEFAULT_BUDGET
     a, m, k = spec.a, spec.m, uncovered
     ix = g.dart_index
-    first, vertex, twin = ix.first, ix.vertex, ix.twin
+    vertex, twin, rank = ix.vertex, ix.twin, ix.rank
+    start, deg = list(ix.first.values()), ix.degree  # per vertex rank
     n = len(twin)
     # Literal d < n is dart d; with an allowance, literal n + d negates it.
     # A variable is named by its lowest literal.
@@ -163,24 +167,25 @@ def oracle_solve(
         neg = twin
         var = [d if d < t else t for d, t in enumerate(twin)]
     variables = [x for x in range(n) if var[x] == x]
-    deg = {v: g.deg(v) for v in g.vertices}
-    free = {v for v in g.vertices if 0 < deg[v] <= m}
+    free = [0 < dg <= m for dg in deg]
     # Per dart: its vertex's slot-0 dart and degree, its slot bit, and
     # (home) the slot-0 dart again when more than `a` arcs can be needed
     # at its vertex, else -1.
-    base = [first[v] for v in vertex]
-    dega = [deg[v] for v in vertex]
+    base = [start[x] for x in rank]
+    dega = [deg[x] for x in rank]
     bit = [1 << (d - b) for d, b in enumerate(base)]
     home = [b if dg > m and -(-dg // m) > a else -1 for b, dg in zip(base, dega)]
     mask = [0] * n  # at a home dart: the true slots of its vertex
-    tables: dict[int, dict[int, list]] = {dg: {} for dg in dega}
-    # The capacity orientation (k = 0 only).  Per dart: whether its vertex
-    # holds its edge, and c(v) of its vertex; at a slot-0 dart: the number
-    # of edges its vertex holds.
-    held = bytearray(n)
-    cap = [dg if dg < a * m else a * m for dg in dega]
-    load = [0] * n
-    pending: list[int] = []  # slot-0 darts of vertices that may be over c(v)
+    tables: dict[int, dict[int, list]] = {dg: {} for dg in deg}
+    # The capacity orientation, with no allowance only; the first
+    # propagation repairs the vertices that the unplaced edges take over.
+    if not k:
+        orient = Orientation(ix, a * m)
+        for d in orient.unplaced:
+            orient.give(d)
+        held, load, cap, over = orient.held, orient.load, orient.cap, orient.over
+    else:
+        over = []
 
     def arcs(dg: int, mk: int) -> list:
         """[arcs needed, forbidden slots or None] for the slot set mk."""
@@ -211,12 +216,7 @@ def oracle_solve(
             if home[p] >= 0:
                 mask[home[p]] |= bit[p]
             if not k and not held[p]:  # the edge moves to p's vertex
-                t, b = twin[p], base[p]
-                held[p], held[t] = 1, 0
-                load[b] += 1
-                load[base[t]] -= 1
-                if load[b] > cap[b]:
-                    pending.append(b)
+                orient.give(p)
 
     def vertex_clause(h: int, d: int, before: int) -> list[int]:
         """Negations of the darts at home h that were true before trail
@@ -247,47 +247,29 @@ def oracle_solve(
         return [twin[p], *uncovered_darts(k)] if why is _ALLOWANCE else why[1:]
 
     def settle() -> list[int] | None:
-        """Move edges out of each pending vertex over capacity, by one
-        breadth-first path reversal along held, unassigned edges each; a
-        conflict clause when a search fails, else None."""
+        """Repair each vertex over its capacity, along held darts that are
+        not assigned; a conflict clause when a repair fails, else None."""
         nonlocal tight
-        while pending:
-            b = pending[-1]
-            if load[b] <= cap[b]:
-                pending.pop()
+        while over:
+            x = over[-1]
+            if load[x] <= cap[x]:
+                over.pop()
                 continue
-            via = {b: -1}  # vertex reached -> the held dart stepped along into it
-            queue = [b]
-            for x in queue:
-                for d in range(x, x + dega[x]):
-                    if held[d] and not val[d]:
-                        y = base[twin[d]]
-                        if y not in via:
-                            via[y] = d
-                            if load[y] < cap[y]:
-                                break
-                            queue.append(y)
-                else:
-                    continue
-                break  # y has spare capacity
-            else:
-                # The visited set S is full, and the edges it could move
-                # stay inside: it must hold E(S) and the edges that true
-                # darts pull in from outside, more than Σ_S c(v).  An
-                # orientation existed before this level, so one of those
-                # darts is of this level, as `analyze` needs.
+            region = orient.repair(x, val)
+            if region is not None:
+                # The region S is full and holds the edges it could move,
+                # so it must hold E(S) and the edges that true darts pull
+                # in from outside, more than Σ_S c(v).  An orientation
+                # existed before this level, so one of those darts is of
+                # this level, as `analyze` needs.
                 tight += 1
+                inside = set(region)
                 clause = [
-                    twin[d] for x in queue for d in range(x, x + dega[x])
-                    if val[d] == 1 and base[twin[d]] not in via
+                    twin[d] for y in region for d in range(start[y], start[y] + deg[y])
+                    if val[d] == 1 and rank[twin[d]] not in inside
                 ]
                 assert not lim or any(level[var[q]] == len(lim) for q in clause)
                 return clause
-            load[y] += 1
-            load[b] -= 1
-            while d >= 0:
-                held[d], held[twin[d]] = 0, 1
-                d = via[base[d]]
         return None
 
     def propagate() -> list[int] | None:
@@ -295,7 +277,7 @@ def oracle_solve(
         The capacity orientation is repaired after each trail step."""
         nonlocal qhead
         while True:
-            if pending:
+            if over:
                 confl = settle()
                 if confl is not None:
                     return confl
@@ -416,19 +398,6 @@ def oracle_solve(
     def rebuild_heap() -> None:
         heap[:] = sorted((-act[x], x) for x in variables if not val[x])
 
-    # Start the orientation with each edge at its less-loaded end; the
-    # first propagation moves edges out of vertices over capacity, and a
-    # failure there is a NO before the first decision.
-    if not k:
-        for d in variables:
-            b, c = base[d], base[twin[d]]
-            if load[c] < load[b]:
-                d, b = twin[d], c
-            held[d] = 1
-            load[b] += 1
-            if load[b] > cap[b]:
-                pending.append(b)
-
     # Level 0: an edge with a free candidate end is covered there, a
     # forced edge at its forced end; with an allowance its other dart is
     # false, and a forced loop is covered at one of its two darts.
@@ -439,7 +408,7 @@ def oracle_solve(
             ends = tuple(x for x in ends if vertex[x] == forced[e])
             if not ends:
                 raise ValueError(f"edge {e} cannot be forced to vertex {forced[e]}")
-        pick = next((x for x in ends if vertex[x] in free), ends[0] if len(ends) == 1 else None)
+        pick = next((x for x in ends if free[rank[x]]), ends[0] if len(ends) == 1 else None)
         if pick is not None:
             assign(pick, None)
             if k:
@@ -501,9 +470,8 @@ def oracle_solve(
 
     # A free vertex covers all of its slots with the angle at slot 0.
     marks = bytearray(val[x] == 1 for x in range(n))
-    for v in free:
-        f, dg = first[v], deg[v]
-        if any(marks[f : f + dg]):
+    for f, dg, fr in zip(start, deg, free):
+        if fr and any(marks[f : f + dg]):
             marks[f : f + dg] = b"\1" * dg
     return replace(_cover(g, marks, m, a), **stats)
 
@@ -567,13 +535,13 @@ def solve_no_deg3(g: RotationGraph) -> Certificate:
     More edges than coverable slots (`coverable_slots`) is a NO before
     the implication graph is built.
     """
-    if any(g.deg(v) == 3 for v in g.vertices):
+    ix = g.dart_index
+    twin, degree = ix.twin, ix.degree
+    if 3 in degree:
         raise UnsupportedInputError("graph has a degree-3 vertex")
     if len(g.edges) > coverable_slots(g, BASIC_SPEC):
         return Certificate("NO")
-    ix = g.dart_index
-    twin = ix.twin
-    high = [g.deg(v) >= 4 for v in ix.vertex]  # per dart
+    high = [degree[x] >= 4 for x in ix.rank]  # per dart
 
     # Literal 2d is "dart d covered", 2d + 1 its negation; a clause
     # (l1 or l2) adds the implications not-l1 -> l2 and not-l2 -> l1.  A
@@ -582,8 +550,7 @@ def solve_no_deg3(g: RotationGraph) -> Certificate:
     # ascending slot order.
     adj: list[list[int]] = [[] for _ in range(2 * len(twin))]
     excluded: dict[int, list[list[int]]] = {}  # degree -> slot i -> [2j + 1]
-    for v in sorted(g.vertices):
-        k = g.deg(v)
+    for f, k in zip(ix.first.values(), degree):
         if k < 4:
             continue
         if k not in excluded:
@@ -591,7 +558,6 @@ def solve_no_deg3(g: RotationGraph) -> Certificate:
                 [2 * j + 1 for j in range(k) if (j - i) % k not in (0, 1, k - 1)]
                 for i in range(k)
             ]
-        f = ix.first[v]
         for i, lits in enumerate(excluded[k]):
             d = f + i
             adj[2 * d] = [2 * f + x for x in lits]

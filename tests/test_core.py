@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from anglecover.core import (
     AngleAssignment,
     BASIC_SPEC,
     CoverSpec,
+    Orientation,
     RotationGraph,
     UnsupportedInputError,
     check_cover,
@@ -275,3 +279,74 @@ def test_genus_of_disjoint_union_is_the_sum(g, h):
     assert union.genus == parts[0].genus + parts[1].genus >= 0
     assert union.num_faces == parts[0].num_faces + parts[1].num_faces
     assert union.is_plane == (parts[0].is_plane and parts[1].is_plane)
+
+
+@st.composite
+def pinned_graphs(draw):
+    """A graph of at most 8 vertices (loops, parallel edges, isolated
+    vertices, vertices listed out of order), a capacity bound c, and
+    some edges pinned, each to one of its ends."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)
+    )
+    incident = {v: [] for v in range(n)}
+    for e, (u, v) in enumerate(pairs):
+        incident[u].append(e)
+        incident[v].append(e)
+    rotation = {v: draw(st.permutations(slots)) for v, slots in incident.items()}
+    g = RotationGraph.build(draw(st.permutations(range(n))), dict(enumerate(pairs)), rotation)
+    keep = draw(st.lists(st.integers(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    pins = {e: pairs[e][side] for e, side in enumerate(keep) if draw(st.integers(0, 3)) == 0}
+    return g, draw(st.integers(0, 3)), pins
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_graphs())
+def test_orientation_repairs_or_finds_the_subset_that_counts_against_it(case):
+    # The orientation must be within capacity with every edge held once
+    # and every pinned edge where it was pinned, or name a set S that
+    # needs more than it may hold; brute force over all subsets decides
+    # which, with the pinned edges taken out and charged to their ends.
+    g, c, pins = case
+    ix = g.dart_index
+    o = Orientation(ix, c)
+    for d in o.unplaced:
+        o.give(d)
+    pinned = bytearray(len(ix.twin))
+    for e, v in pins.items():
+        d = ix.dart_of[e]
+        d = d if ix.vertex[d] == v else ix.twin[d]
+        if not o.held[d]:
+            o.give(d)
+        pinned[d] = pinned[ix.twin[d]] = 1
+    region = None
+    for x in range(len(ix.first)):
+        while region is None and o.load[x] > o.cap[x]:
+            region = o.repair(x, pinned)
+
+    room = {v: min(g.deg(v), c) for v in g.vertices}
+    for v in pins.values():
+        room[v] -= 1
+    free = [ends for e, ends in g.edges.items() if e not in pins]
+
+    def over(s):
+        return sum(1 for u, w in free if u in s and w in s) > sum(room[v] for v in s)
+
+    dense = any(over(set(s)) for k in range(1, len(g.vertices) + 1)
+                for s in combinations(g.vertices, k))
+    if region is not None:
+        assert over({list(ix.first)[x] for x in region})
+        assert dense
+        return
+    assert not dense
+    names = list(ix.first)
+    holder = {}
+    for x, (s, k) in enumerate(zip(o.start, o.load)):
+        assert k <= min(ix.degree[x], c)
+        for h in o.hold[s : s + k]:
+            assert ix.vertex[h] == names[x]
+            holder[ix.edge[h]] = names[x]
+    assert Counter(ix.edge[h] for x, (s, k) in enumerate(zip(o.start, o.load))
+                   for h in o.hold[s : s + k]) == dict.fromkeys(g.edges, 1)
+    assert all(holder[e] == v for e, v in pins.items())

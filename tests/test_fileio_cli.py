@@ -86,6 +86,21 @@ def test_parse_rejects_duplicate_rotation():
     assert str(exc.value) == "line 3: duplicate rotation for vertex 0"
 
 
+# A topological instance with one crossing; each case repeats one record.
+CROSSED = "e 0 0 1\ne 1 2 3\nx 0 0 1 0\nseq 0: 0\nseq 1: 0\n"
+REPEATED = [
+    (CROSSED + "x 0 0 1 1\n", "line 6: duplicate crossing id 0"),
+    (CROSSED + "seq 1: 0\n", "line 6: duplicate sequence for edge 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", REPEATED, ids=["x", "seq"])
+def test_parse_rejects_repeated_topological_records(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_inconsistent_crossing():
     with pytest.raises(FormatError):
         parse_instance("e 0 0 1\ne 1 2 3\nx 0 0 1 0\nseq 0: 0\n")
@@ -253,8 +268,11 @@ NO_REDUCE = {"anglecover.solve", "anglecover.reduce"}
         # Only `reduce witness` searches; the other reductions just build.
         (["reduce", "3col", "tri.inst"], {"anglecover.solve"}),
         (["instance", "t-graph"], {"anglecover.solve"}),
+        # The orientation both searches share lives in core.
+        (["solve", "fig1.inst"], {f"anglecover.{m}" for m in ("density", "allocate", "transform")}),
+        (["density", "tri.inst"], {"anglecover.solve"}),
     ],
-    ids=["instance", "gen", "check", "reduce-3col", "instance-t-graph"],
+    ids=["instance", "gen", "check", "reduce-3col", "instance-t-graph", "solve", "density"],
 )
 def test_cli_light_commands_load_no_solver(tmp_path, argv, absent):
     fig1 = get_instance("fig1")
@@ -451,6 +469,15 @@ def test_cli_rejects_topological_input_to_solve(tmp_path):
     f = write(tmp_path, "t.inst", text)
     assert main(["solve", f]) == 2
     assert main(["planarize", f]) == 0
+
+
+@pytest.mark.parametrize("text, message", REPEATED, ids=["x", "seq"])
+def test_cli_planarize_rejects_repeated_topological_records(tmp_path, capsys, text, message):
+    f = write(tmp_path, "t.inst", text)
+    assert main(["planarize", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_cli_planarize_rejects_negative_edge_id(tmp_path, capsys):
