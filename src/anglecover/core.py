@@ -11,9 +11,8 @@ The index stores, per dart, its vertex, its edge and its twin (the other
 end of the same edge), and per edge its lower dart.  `g.ends(e)` returns
 an edge's two (vertex, slot) ends from it.  `DartIndex.walk` is the one
 slot-pairing walk over the darts: the max-degree-4 and sextet solvers
-cover with it.  `Orientation` is the one capacity orientation of the
-edges (Hakimi): it starts from the walk, and both the exhaustive search
-and the density test keep theirs in it.
+cover with it, and the one capacity orientation (`Orientation`) of the
+exhaustive search and the density test starts from it.
 """
 
 from __future__ import annotations
@@ -151,8 +150,7 @@ class DartIndex:
 
     @cached_property
     def rank(self) -> list[int]:
-        """Per dart, its vertex's position in the order of `first`, so
-        that an isolated vertex has a number of its own."""
+        """Per dart, its vertex's position in `first` (isolated ones count)."""
         return list(chain.from_iterable(map(repeat, range(len(self.first)), self.degree)))
 
     def walk(self, partner) -> bytearray:
@@ -203,123 +201,86 @@ class DartIndex:
 
 
 class Orientation:
-    """A capacity orientation on the dart index: each placed edge is held
-    by one of its ends, and the vertex of rank x (`DartIndex.rank`) may
-    hold cap[x] = min(deg, c) edges.
-
-    This is the counting fact behind angle covers.  A cover gives each
-    edge to an endpoint that covers it, and a vertex covers at most
-    min(deg, a·m) slots, so a cover implies an orientation within
-    capacity c = a·m; by Hakimi's theorem (1965) one exists iff no vertex
-    set S spans more than Σ_S cap edges.  The exhaustive search keeps one
-    with c = a·m, and the density test asks for one with c = 2.
-
-    A vertex holds an edge through its own dart of it, and held[d] is 1
-    for each held dart.  The darts that x holds are the list
-    hold[start[x] : start[x] + load[x]], inside x's own dart range.
-
-    The start is the slot-pairing walk with slot s paired to s ^ 1
-    (`DartIndex.walk`), which directs ⌊deg/2⌋ or ⌈deg/2⌉ edges into each
-    vertex.  In dart order each vertex holds the edges directed into it.
-    An edge that reaches a full vertex goes to its other end if that end
-    has room; otherwise it stays unplaced, and `unplaced` lists its dart
-    at that other end.  `give` places an edge even over capacity and
-    lists in `over` each vertex that it takes over; `repair` moves the
-    excess out, and the caller decides what a failed repair means.
+    """The capacity orientation (Hakimi 1965): each placed edge is held by
+    one end, through its dart there (held[d] is 1), and the vertex of rank
+    x holds the darts in the list holds[x], at most cap[x] = min(deg, c).
+    It starts from the walk with s paired to s ^ 1: each vertex holds the
+    edges directed into it, and one that reaches a full vertex goes to its
+    other end if that has room, else its dart there goes to `unplaced`.
+    `give` places an edge even over capacity, listing that vertex in
+    `over`, and `repair` brings a vertex back within capacity.
     """
 
     def __init__(self, ix: DartIndex, c: int):
         self.rank, self.twin = rank, twin = ix.rank, ix.twin
-        self.start = start = list(ix.first.values())
         self.cap = cap = [k if k < c else c for k in ix.degree]
-        self.load = load = [0] * len(cap)
-        self.hold = hold = [-1] * len(twin)
+        self.holds = holds = [[] for _ in cap]
         self.held = held = bytearray(len(twin))
-        self.unplaced = unplaced = []
+        self.unplaced: list[int] = []
         self.over: list[int] = []
-        self.seen = [0] * len(cap)  # the search that last visited each vertex
-        self.via = [-1] * len(cap)  # the held dart it stepped along into each
+        self.seen = [0] * len(cap)  # per vertex, the last search to visit it
+        self.via = [-1] * len(cap)  # and the held dart it stepped in along
         self.search = 0
+        room = cap[:]  # per vertex, how many more edges it may take
         marks = ix.walk([s ^ 1 for s in range(max(ix.degree, default=0))])
         for d in compress(range(len(twin)), map((2).__eq__, marks)):
             x = rank[d]
-            if load[x] >= cap[x]:
+            if not room[x]:
                 d = twin[d]
                 x = rank[d]
-                if load[x] >= cap[x]:
-                    unplaced.append(d)
+                if not room[x]:
+                    self.unplaced.append(d)
                     continue
-            hold[start[x] + load[x]] = d
+            holds[x].append(d)
             held[d] = 1
-            load[x] += 1
+            room[x] -= 1
 
     def give(self, d: int) -> None:
-        """Move d's edge to d's vertex, from the end that holds it."""
-        rank, load, hold, held, start = (
-            self.rank, self.load, self.hold, self.held, self.start
-        )
+        """Give d's edge, not held through d, to d's vertex, taking it from
+        the other end if that holds it."""
         t = self.twin[d]
-        if held[t]:
-            y = rank[t]
-            p = hold.index(t, start[y], start[y] + load[y])
-            load[y] -= 1
-            hold[p] = hold[start[y] + load[y]]  # y's last held dart fills p
-            held[t] = 0
-        x = rank[d]
-        hold[start[x] + load[x]] = d
-        held[d] = 1
-        load[x] += 1
-        if load[x] > self.cap[x]:
+        if self.held[t]:
+            self.holds[self.rank[t]].remove(t)
+            self.held[t] = 0
+        x = self.rank[d]
+        self.holds[x].append(d)
+        self.held[d] = 1
+        if len(self.holds[x]) > self.cap[x]:
             self.over.append(x)
 
     def repair(self, x: int, pinned) -> list[int] | None:
-        """Move one edge out of x by breadth-first path reversal; None, or
-        the vertices visited when no path exists.
-
-        A vertex steps along each edge it holds to the other end y, where
-        the edge could move, unless pinned[t] for y's dart t of it.  The
-        search stops at the first vertex below its capacity and moves each
-        edge of the path one step on, so that x lets go of one edge and
-        that vertex takes one.  A failed search visited a set S of full
-        vertices, x over its capacity, and each edge they hold leads into
-        S or is pinned at its other end.  So E(S) and those pinned edges
-        number more than Σ_S cap, and with nothing pinned |E(S)| > Σ_S cap.
-        """
-        hold, load, cap, start = self.hold, self.load, self.cap, self.start
-        rank, twin, seen, via = self.rank, self.twin, self.seen, self.via
-        self.search = search = self.search + 1
-        seen[x] = search
-        queue = [x]
-        for u in queue:
-            for h in hold[start[u] : start[u] + load[u]]:
-                t = twin[h]
-                y = rank[t]
-                if seen[y] != search and not pinned[t]:
-                    seen[y], via[y] = search, h
-                    if load[y] < cap[y]:
-                        break
-                    queue.append(y)
-            else:
-                continue
-            break
-        else:
-            return queue
-        # y takes the path's last edge at a new position q; each vertex u
-        # before it takes the edge before, at the position p it vacates.
-        held = self.held
-        q = start[y] + load[y]
-        load[y] += 1
-        while True:
-            h = via[y]
-            y = rank[h]
-            p = hold.index(h, start[y], start[y] + load[y])
-            hold[q] = t = twin[h]
-            held[t], held[h] = 1, 0
-            if y == x:
+        """Move edges out of x until it is within capacity, each by
+        breadth-first path reversal along held edges, entering no dart t
+        with pinned[t], to the first vertex below capacity; None, or the
+        vertices visited when no such path exists.  Those are full (x
+        over), and every edge they hold leads back among them or into a
+        pinned dart, so with no pins |E(S)| > Σ_S cap."""
+        holds, cap, held, rank, twin = self.holds, self.cap, self.held, self.rank, self.twin
+        seen, via = self.seen, self.via
+        while len(holds[x]) > cap[x]:
+            self.search = search = self.search + 1
+            seen[x] = search
+            queue = [x]
+            for u in queue:
+                for h in holds[u]:
+                    t = twin[h]
+                    y = rank[t]
+                    if seen[y] != search and not pinned[t]:
+                        seen[y], via[y] = search, h
+                        if len(holds[y]) < cap[y]:
+                            break
+                        queue.append(y)
+                else:
+                    continue
                 break
-            q = p
-        load[x] -= 1
-        hold[p] = hold[start[x] + load[x]]  # x's last held dart fills p
+            else:
+                return queue
+            while y != x:  # each edge of the path moves one step towards y
+                h = via[y]
+                holds[y].append(twin[h])
+                y = rank[h]
+                holds[y].remove(h)
+                held[twin[h]], held[h] = 1, 0
         return None
 
 

@@ -1,24 +1,18 @@
 """Low-edge-density test as a capacity-2 orientation.
 
 A graph has low edge density when every k-vertex subgraph has at most 2k
-edges.  By Hakimi's theorem this holds exactly when every edge can be
-given to one of its endpoints so that no vertex holds more than two (a
-loop goes to its one vertex).  `check_low_density` asks the package's
-capacity orientation (`core.Orientation`, the one the exhaustive search
-keeps with c = a·m) for such an assignment with c = 2; the policy for
-the edges it cannot place is this module's own, and the vertex set that
-blocks them is the witness.
-
-`max_bipartite_matching` is the same question asked of the
-edge/doubled-vertex bipartite graph (`transform.build_gmat`) through the
-package's blossom engine.  The density test does not use it; it stays
-as an independent reference.
+edges: by Hakimi's theorem, exactly when each edge can be given to one of
+its ends with no vertex holding more than two.  `check_low_density` asks
+the package's one capacity orientation (`core.Orientation`) for that,
+with c = 2; only its policy for the edges that cannot be placed is its own.
+`max_bipartite_matching` asks the same of the edge/doubled-vertex graph
+(`transform.build_gmat`) through the blossom engine, as an independent
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .allocate import maximum_matching
 from .core import Orientation, RotationGraph
@@ -48,58 +42,51 @@ def check_low_density(g: RotationGraph) -> DensityReport:
     """Decide low edge density; on failure produce a vertex set S with
     |E(S)| > 2|S|.
 
-    `core.Orientation` with c = 2 places every edge that its start can
-    place within capacity.  Each edge it leaves unplaced is given to one
-    end and repaired by one path reversal.  A failed repair leaves that
-    edge unplaced, held over the capacity of a vertex that takes no part
-    in any later search: the region the search visited is full and
-    closed, so it is marked dead and every dart of a dead vertex is
-    pinned.  An edge with one dead end is given to the other end, and one
-    with two dead ends stays unplaced at once.  Once every edge has been
-    tried, no reversal can place an unplaced edge: the orientation
-    places as many edges as possible.
+    Each edge that the orientation's start leaves unplaced is given to an
+    end and repaired once.  A failed repair leaves it unplaced (held over
+    capacity) and marks the region the search visited, full and closed,
+    dead: the darts of dead vertices are pinned, so no later search enters
+    it, and an edge goes to a live end or, with two dead ends, is skipped.
+    So the orientation places as many edges as possible, and the dead set
+    is the witness: the vertices reachable from the unplaced edges, full
+    and holding only edges inside it.  It is the same for every maximum
+    orientation (Dulmage and Mendelsohn), whatever the start or the order.
 
-    The witness S is the dead set, the vertices that the search steps
-    reach from the ends of the unplaced edges.  Every vertex of S is full
-    and every edge it holds lies in S, so E(S) has the 2|S| held edges
-    plus the unplaced ones.  As a matching of edges to vertex copies, S
-    is the endpoint set of the edges alternating-reachable from the
-    unmatched ones, which is the same for every maximum matching
-    (Dulmage and Mendelsohn), so the witness depends on neither the start
-    nor the search order.
-
-    The `matching` map gives each placed edge its vertex and a copy, 0 or
-    1, numbered in edge order among the edges that vertex holds.
+    `matching` maps each placed edge to its vertex and a copy, 0 or 1,
+    numbered in edge order among the edges that vertex holds.
     """
     ix = g.dart_index
     twin, degree, rank, edge, vertex = ix.twin, ix.degree, ix.rank, ix.edge, ix.vertex
     o = Orientation(ix, 2)
-    start, load, hold = o.start, o.load, o.hold
-    dead = [False] * len(load)
+    start = list(ix.first.values())
     pinned = bytearray(len(twin))  # the darts of dead vertices
     for f in o.unplaced:
-        if dead[rank[f]]:
+        if pinned[f]:
             f = twin[f]
-            if dead[rank[f]]:
+            if pinned[f]:
                 continue
         o.give(f)
         region = o.repair(rank[f], pinned)
-        if region is not None:
-            for y in region:
-                dead[y] = True
-                pinned[start[y] : start[y] + degree[y]] = b"\1" * degree[y]
+        if region is not None:  # pin it, a slice per run of vertices in a row
+            region.sort()
+            lo = region[0]
+            for y, z in zip(region, [*region[1:], -1]):
+                if z != y + 1:
+                    hi = start[y] + degree[y]
+                    pinned[start[lo] : hi] = b"\1" * (hi - start[lo])
+                    lo = z
 
     matching = {}
-    for s, k in zip(start, load):
-        if k:
-            h = hold[s]
-            if k > 1:  # a dead vertex's third edge is unplaced
-                j = hold[s + 1]
+    for hs in o.holds:
+        if hs:
+            h = hs[0]
+            if len(hs) > 1:  # a dead vertex's third edge is unplaced
+                j = hs[1]
                 if edge[j] < edge[h]:
                     h, j = j, h
                 matching[edge[j]] = (vertex[j], 1)
             matching[edge[h]] = (vertex[h], 0)
-    witness = frozenset(compress(ix.first, dead))
+    witness = frozenset(v for v, s, k in zip(ix.first, start, degree) if k and pinned[s])
     if not witness:
         return DensityReport(True, matching)
     spanned = sum(1 for u, v in g.edges.values() if u in witness and v in witness)

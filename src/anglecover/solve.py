@@ -1,16 +1,14 @@
 """Cover-finding algorithms.
 
 Contains the exact oracle, a conflict-driven clause-learning search over
-dart literals (with an allowance of uncovered edges, also the search
-behind `reduce.max_coverage`), the linear-time max-degree-4 solver, the
-2-SAT solver for graphs without degree-3 vertices, the sextet-based
-solver for even maximum degree, and the outerplane entry point (an
-embedding check in front of the oracle).  With no allowance the oracle
-keeps the package's capacity orientation (`core.Orientation`, c = a·m)
-and turns its failed repairs into conflict clauses.  The max-degree-4
-and sextet solvers are one slot-pairing walk on the dart index
-(`DartIndex.walk`, through `_walk_cover`); they differ only in the
-pairing.
+dart literals that turns the failed repairs of the capacity orientation
+(`core.Orientation`) into conflict clauses (with an allowance of uncovered
+edges, the search behind `reduce.max_coverage`, without the orientation),
+the linear-time max-degree-4 solver, the 2-SAT solver for graphs without
+degree-3 vertices, the sextet-based solver for even maximum degree, and the
+outerplane entry point (an embedding check in front of the oracle).  The
+max-degree-4 and sextet solvers are one slot-pairing walk on the dart index
+(`DartIndex.walk`, through `_walk_cover`); they differ only in the pairing.
 """
 
 from __future__ import annotations
@@ -127,19 +125,16 @@ def oracle_solve(
       minimised set of the darts that were true before it;
     - at most k edges are uncovered; at k, an edge with one false dart is
       covered by the other, explained by the k uncovered edges.
-    With no allowance the search also counts (Hakimi's orientation
-    theorem).  A cover gives each edge to an endpoint that covers it, so
-    a vertex v holds at most c(v) = min(deg v, a·m) edges.  The search
-    keeps such an orientation that respects every true dart, in
-    `core.Orientation` with c = a·m: the edges its start leaves unplaced
-    are given to a vertex over capacity, a dart that becomes true gives
-    its edge to its vertex, and after each trail step every vertex over
-    c(v) is repaired with the assigned edges pinned.  A failed repair
-    visited a full vertex set S, and the conflict clause negates the true
-    darts that pull edges into S from outside (explained flow propagation
-    in the manner of Downing, Feydy & Stuckey, CPAIOR 2012).  Backjumping
-    only unassigns, so the orientation it leaves is repaired without
-    failing.
+    With no allowance the search also counts: it keeps the capacity
+    orientation (`core.Orientation`, c = a·m) that a cover implies, with
+    every true dart holding its edge.  The unplaced edges of its start
+    and the edge of each dart made true are given to that dart's vertex,
+    and after each trail step every vertex over capacity is repaired with
+    the assigned edges pinned.  A failed repair visited a full set S, and
+    the conflict clause negates the true darts that pull edges into S
+    from outside (explained flow propagation in the manner of Downing,
+    Feydy & Stuckey, CPAIOR 2012).  Backjumping only unassigns, so the
+    orientation it leaves is repaired without failing.
     The search is CDCL with no randomness: 1-UIP learning, backjumping,
     two watched literals per learned clause, VSIDS, phase saving and
     Luby restarts.  A vertex of degree <= m covers its edges, and
@@ -183,7 +178,7 @@ def oracle_solve(
         orient = Orientation(ix, a * m)
         for d in orient.unplaced:
             orient.give(d)
-        held, load, cap, over = orient.held, orient.load, orient.cap, orient.over
+        held, over, give = orient.held, orient.over, orient.give
     else:
         over = []
 
@@ -216,7 +211,7 @@ def oracle_solve(
             if home[p] >= 0:
                 mask[home[p]] |= bit[p]
             if not k and not held[p]:  # the edge moves to p's vertex
-                orient.give(p)
+                give(p)
 
     def vertex_clause(h: int, d: int, before: int) -> list[int]:
         """Negations of the darts at home h that were true before trail
@@ -247,21 +242,13 @@ def oracle_solve(
         return [twin[p], *uncovered_darts(k)] if why is _ALLOWANCE else why[1:]
 
     def settle() -> list[int] | None:
-        """Repair each vertex over its capacity, along held darts that are
-        not assigned; a conflict clause when a repair fails, else None."""
+        """Repair each vertex over capacity; a conflict clause, or None."""
         nonlocal tight
         while over:
-            x = over[-1]
-            if load[x] <= cap[x]:
-                over.pop()
-                continue
-            region = orient.repair(x, val)
+            region = orient.repair(over[-1], val)
             if region is not None:
-                # The region S is full and holds the edges it could move,
-                # so it must hold E(S) and the edges that true darts pull
-                # in from outside, more than Σ_S c(v).  An orientation
-                # existed before this level, so one of those darts is of
-                # this level, as `analyze` needs.
+                # An orientation existed before this level, so one of the
+                # darts that pull edges into S is of this level.
                 tight += 1
                 inside = set(region)
                 clause = [
@@ -270,6 +257,7 @@ def oracle_solve(
                 ]
                 assert not lim or any(level[var[q]] == len(lim) for q in clause)
                 return clause
+            over.pop()
         return None
 
     def propagate() -> list[int] | None:

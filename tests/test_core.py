@@ -322,8 +322,10 @@ def test_orientation_repairs_or_finds_the_subset_that_counts_against_it(case):
         pinned[d] = pinned[ix.twin[d]] = 1
     region = None
     for x in range(len(ix.first)):
-        while region is None and o.load[x] > o.cap[x]:
-            region = o.repair(x, pinned)
+        region = region or o.repair(x, pinned)
+
+    held = sorted(h for hs in o.holds for h in hs)
+    assert [d for d, flag in enumerate(o.held) if flag] == held
 
     room = {v: min(g.deg(v), c) for v in g.vertices}
     for v in pins.values():
@@ -342,11 +344,10 @@ def test_orientation_repairs_or_finds_the_subset_that_counts_against_it(case):
     assert not dense
     names = list(ix.first)
     holder = {}
-    for x, (s, k) in enumerate(zip(o.start, o.load)):
-        assert k <= min(ix.degree[x], c)
-        for h in o.hold[s : s + k]:
+    for x, hs in enumerate(o.holds):
+        assert len(hs) <= min(ix.degree[x], c)
+        for h in hs:
             assert ix.vertex[h] == names[x]
             holder[ix.edge[h]] = names[x]
-    assert Counter(ix.edge[h] for x, (s, k) in enumerate(zip(o.start, o.load))
-                   for h in o.hold[s : s + k]) == dict.fromkeys(g.edges, 1)
+    assert Counter(ix.edge[h] for h in held) == dict.fromkeys(g.edges, 1)
     assert all(holder[e] == v for e, v in pins.items())
