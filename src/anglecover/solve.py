@@ -248,7 +248,7 @@ def oracle_solve(
             region = orient.repair(over[-1], val)
             if region is not None:
                 # An orientation existed before this level, so one of the
-                # darts that pull edges into S is of this level.
+                # true darts that pull edges into the region is of it.
                 tight += 1
                 inside = set(region)
                 clause = [
