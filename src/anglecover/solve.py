@@ -163,24 +163,20 @@ def oracle_solve(
         var = [d if d < t else t for d, t in enumerate(twin)]
     variables = [x for x in range(n) if var[x] == x]
     free = [0 < dg <= m for dg in deg]
-    # Per dart: its vertex's slot-0 dart and degree, its slot bit, and
-    # (home) the slot-0 dart again when more than `a` arcs can be needed
-    # at its vertex, else -1.
-    base = [start[x] for x in rank]
-    dega = [deg[x] for x in rank]
-    bit = [1 << (d - b) for d, b in enumerate(base)]
-    home = [b if dg > m and -(-dg // m) > a else -1 for b, dg in zip(base, dega)]
+    # Per dart: its slot bit, and (home) its vertex's slot-0 dart when more
+    # than `a` arcs can be needed at that vertex, else -1.
+    bit = [1 << (d - start[x]) for d, x in enumerate(rank)]
+    home = [start[x] if deg[x] > m and -(-deg[x] // m) > a else -1 for x in rank]
     mask = [0] * n  # at a home dart: the true slots of its vertex
     tables: dict[int, dict[int, list]] = {dg: {} for dg in deg}
     # The capacity orientation, with no allowance only; the first
     # propagation repairs the vertices that the unplaced edges take over.
+    over: list[int] = []
     if not k:
         orient = Orientation(ix, a * m)
-        for d in orient.unplaced:
-            orient.give(d)
         held, over, give = orient.held, orient.over, orient.give
-    else:
-        over = []
+        for d in orient.unplaced:
+            give(d)
 
     def arcs(dg: int, mk: int) -> list:
         """[arcs needed, forbidden slots or None] for the slot set mk."""
@@ -217,7 +213,7 @@ def oracle_solve(
         """Negations of the darts at home h that were true before trail
         index `before`, greedily minimised (latest first) so that with dart
         d, if d >= 0, they still need more than `a` arcs."""
-        dg = dega[h]
+        dg = deg[rank[h]]
         true = sorted(
             (x for x in range(h, h + dg) if val[x] == 1 and pos[var[x]] < before),
             key=lambda x: -pos[var[x]],
@@ -299,7 +295,7 @@ def oracle_solve(
             del ws[j:]
             h = home[p] if p < n else -1
             if h >= 0:
-                dg, mk = dega[h], mask[h]
+                dg, mk = deg[rank[h]], mask[h]
                 e = arcs(dg, mk)
                 if e[0] > a:
                     return vertex_clause(h, -1, len(trail))
