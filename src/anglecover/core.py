@@ -203,8 +203,10 @@ class DartIndex:
 class Orientation:
     """The capacity orientation (Hakimi 1965): each placed edge is held by
     one end, through its dart there (held[d] is 1), and the vertex of rank
-    x holds the darts hold[start[x] : start[x] + load[x]], at most
-    cap[x] = min(deg, c) of them.
+    x holds the darts in holds[x], at most cap[x] = min(deg, c).  These are
+    tuples: the garbage collector stops tracking a tuple of ints, where
+    10^4 lists per large graph would set off full collections.
+
     It starts from the walk with s paired to s ^ 1: each vertex holds the
     edges directed into it, and one that reaches a full vertex goes to its
     other end if that has room, else its dart there goes to `unplaced`.
@@ -214,45 +216,41 @@ class Orientation:
 
     def __init__(self, ix: DartIndex, c: int):
         self.rank, self.twin = rank, twin = ix.rank, ix.twin
-        self.start = start = list(ix.first.values())
         self.cap = cap = [k if k < c else c for k in ix.degree]
-        self.load = load = [0] * len(cap)
-        self.hold = hold = [0] * len(twin)
+        self.holds = holds = [()] * len(cap)
         self.held = held = bytearray(len(twin))
         self.unplaced: list[int] = []
         self.over: list[int] = []
         self.seen = [0] * len(cap)  # per vertex, the last search to visit it
         self.via = [-1] * len(cap)  # and the held dart it stepped in along
         self.search = 0
+        room = cap[:]  # per vertex, how many more edges it may take
         marks = ix.walk([s ^ 1 for s in range(max(ix.degree, default=0))])
         for d in compress(range(len(twin)), map((2).__eq__, marks)):
             x = rank[d]
-            if load[x] == cap[x]:
+            if not room[x]:
                 d = twin[d]
                 x = rank[d]
-                if load[x] == cap[x]:
+                if not room[x]:
                     self.unplaced.append(d)
                     continue
-            hold[start[x] + load[x]] = d
+            holds[x] += (d,)
             held[d] = 1
-            load[x] += 1
+            room[x] -= 1
 
     def give(self, d: int) -> None:
         """Give d's edge, not held through d, to d's vertex, taking it from
         the other end if that holds it."""
-        rank, start, load, hold, held = self.rank, self.start, self.load, self.hold, self.held
-        t = self.twin[d]
+        rank, holds, held, t = self.rank, self.holds, self.held, self.twin[d]
         if held[t]:
-            y = rank[t]
-            load[y] -= 1
-            last = start[y] + load[y]
-            hold[hold.index(t, start[y], last + 1)] = hold[last]  # the last fills it
+            hs = holds[rank[t]]
+            i = hs.index(t)
+            holds[rank[t]] = hs[:i] + hs[i + 1 :]
             held[t] = 0
         x = rank[d]
-        hold[start[x] + load[x]] = d
+        holds[x] += (d,)
         held[d] = 1
-        load[x] += 1
-        if load[x] > self.cap[x]:
+        if len(holds[x]) > self.cap[x]:
             self.over.append(x)
 
     def repair(self, x: int, pinned) -> list[int] | None:
@@ -262,19 +260,19 @@ class Orientation:
         vertices visited when no such path exists.  Those are full (x
         over), and every edge they hold leads back among them or into a
         pinned dart, so with no pins |E(S)| > Σ_S cap."""
-        hold, start, load, cap = self.hold, self.start, self.load, self.cap
-        rank, twin, held, seen, via = self.rank, self.twin, self.held, self.seen, self.via
-        while load[x] > cap[x]:
+        holds, cap, held, rank, twin = self.holds, self.cap, self.held, self.rank, self.twin
+        seen, via = self.seen, self.via
+        while len(holds[x]) > cap[x]:
             self.search = search = self.search + 1
             seen[x] = search
             queue = [x]
             for u in queue:
-                for h in hold[start[u] : start[u] + load[u]]:
+                for h in holds[u]:
                     t = twin[h]
                     y = rank[t]
                     if seen[y] != search and not pinned[t]:
                         seen[y], via[y] = search, h
-                        if load[y] < cap[y]:
+                        if len(holds[y]) < cap[y]:
                             break
                         queue.append(y)
                 else:
@@ -284,13 +282,12 @@ class Orientation:
                 return queue
             while y != x:  # each edge of the path moves one step towards y
                 h = via[y]
-                hold[start[y] + load[y]] = t = twin[h]
-                load[y] += 1
+                holds[y] += (twin[h],)
                 y = rank[h]
-                load[y] -= 1
-                last = start[y] + load[y]
-                hold[hold.index(h, start[y], last + 1)] = hold[last]
-                held[t], held[h] = 1, 0
+                hs = holds[y]
+                i = hs.index(h)
+                holds[y] = hs[:i] + hs[i + 1 :]
+                held[twin[h]], held[h] = 1, 0
         return None
 
 

@@ -58,7 +58,7 @@ def check_low_density(g: RotationGraph) -> DensityReport:
     ix = g.dart_index
     twin, degree, rank, edge, vertex = ix.twin, ix.degree, ix.rank, ix.edge, ix.vertex
     o = Orientation(ix, 2)
-    start, load, hold = o.start, o.load, o.hold
+    start = list(ix.first.values())
     pinned = bytearray(len(twin))  # the darts of dead vertices
     for f in o.unplaced:
         if pinned[f]:
@@ -72,16 +72,16 @@ def check_low_density(g: RotationGraph) -> DensityReport:
             lo = region[0]
             for y, z in zip(region, [*region[1:], -1]):
                 if z != y + 1:
-                    a, b = start[lo], start[y] + degree[y]
-                    pinned[a:b] = b"\1" * (b - a)
+                    hi = start[y] + degree[y]
+                    pinned[start[lo] : hi] = b"\1" * (hi - start[lo])
                     lo = z
 
     matching = {}
-    for s, k in zip(start, load):
-        if k:
-            h = hold[s]
-            if k > 1:  # a dead vertex's third edge is unplaced
-                j = hold[s + 1]
+    for hs in o.holds:
+        if hs:
+            h = hs[0]
+            if len(hs) > 1:  # a dead vertex's third edge is unplaced
+                j = hs[1]
                 if edge[j] < edge[h]:
                     h, j = j, h
                 matching[edge[j]] = (vertex[j], 1)

@@ -324,8 +324,7 @@ def test_orientation_repairs_or_finds_the_subset_that_counts_against_it(case):
     for x in range(len(ix.first)):
         region = region or o.repair(x, pinned)
 
-    holds = [o.hold[s : s + k] for s, k in zip(o.start, o.load)]
-    held = sorted(h for hs in holds for h in hs)
+    held = sorted(h for hs in o.holds for h in hs)
     assert [d for d, flag in enumerate(o.held) if flag] == held
 
     room = {v: min(g.deg(v), c) for v in g.vertices}
@@ -345,7 +344,7 @@ def test_orientation_repairs_or_finds_the_subset_that_counts_against_it(case):
     assert not dense
     names = list(ix.first)
     holder = {}
-    for x, hs in enumerate(holds):
+    for x, hs in enumerate(o.holds):
         assert len(hs) <= min(ix.degree[x], c)
         for h in hs:
             assert ix.vertex[h] == names[x]
