@@ -32,13 +32,6 @@ def _tokens(text: str):
             yield lineno, toks
 
 
-def _fresh(table: dict, key: int, lineno: int, what: str) -> int:
-    """`key`, unless an earlier record of the same kind has it."""
-    if key in table:
-        raise FormatError(f"line {lineno}: duplicate {what} {key}")
-    return key
-
-
 def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
     """Parse an InstanceFile; returns a TopologicalGraph when crossing
     records are present.  Vertices missing a `rot` line get the default
@@ -53,17 +46,27 @@ def parse_instance(text: str) -> RotationGraph | TopologicalGraph:
             kind = toks[0]
             if kind == "e" and len(toks) == 4:
                 eid, u, v = int(toks[1]), int(toks[2]), int(toks[3])
-                edges[_fresh(edges, eid, lineno, "edge id")] = (u, v)
+                if eid in edges:
+                    raise FormatError(f"line {lineno}: duplicate edge id {eid}")
+                edges[eid] = (u, v)
             elif kind == "rot" and len(toks) >= 2 and toks[1].endswith(":"):
-                v = _fresh(rotation, int(toks[1][:-1]), lineno, "rotation for vertex")
+                v = int(toks[1][:-1])
+                if v in rotation:
+                    raise FormatError(
+                        f"line {lineno}: duplicate rotation for vertex {v}"
+                    )
                 rotation[v] = tuple(map(int, toks[2:]))
             elif kind == "v" and len(toks) == 2:
                 vertices.add(int(toks[1]))
             elif kind == "x" and len(toks) == 5:
                 xid, e, f, bit = map(int, toks[1:])
-                crossings[_fresh(crossings, xid, lineno, "crossing id")] = (e, f, bit)
+                if xid in crossings:
+                    raise FormatError(f"line {lineno}: duplicate crossing id {xid}")
+                crossings[xid] = (e, f, bit)
             elif kind == "seq" and len(toks) >= 2 and toks[1].endswith(":"):
-                e = _fresh(sequences, int(toks[1][:-1]), lineno, "sequence for edge")
+                e = int(toks[1][:-1])
+                if e in sequences:
+                    raise FormatError(f"line {lineno}: duplicate sequence for edge {e}")
                 sequences[e] = tuple(map(int, toks[2:]))
             else:
                 raise FormatError(f"line {lineno}: cannot parse {' '.join(toks)!r}")
