@@ -337,12 +337,12 @@ def test_orientation_repairs_or_finds_the_subset_that_counts_against_it(case):
 
     dense = any(over(set(s)) for k in range(1, len(g.vertices) + 1)
                 for s in combinations(g.vertices, k))
+    names = list(ix.first)
     if region is not None:
-        assert over({list(ix.first)[x] for x in region})
+        assert over({names[x] for x in region})
         assert dense
         return
     assert not dense
-    names = list(ix.first)
     holder = {}
     for x, hs in enumerate(o.holds):
         assert len(hs) <= min(ix.degree[x], c)
