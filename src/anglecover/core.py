@@ -13,12 +13,16 @@ an edge's two (vertex, slot) ends from it.  `DartIndex.walk` is the one
 slot-pairing walk over the darts: the max-degree-4 and sextet solvers
 cover with it, and the one capacity orientation (`Orientation`) of the
 exhaustive search and the density test starts from it.
+
+The records here and in the other modules are plain classes on one base,
+`_Record`, not dataclasses: every CLI call imports this module, and
+`dataclasses` would add its own imports (`inspect`, `ast`) and generated
+code for each record to that start-up.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import eq, is_, sub
@@ -32,8 +36,50 @@ class UnsupportedInputError(ValueError):
     """The input graph violates a precondition of the requested operation."""
 
 
-@dataclass(frozen=True)
-class RotationGraph:
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class _Record:
+    """An immutable record.  A subclass names its fields in `_fields`, in
+    constructor order, and sets them in its own `__init__` through `_set`.
+    Two records are equal when they are of one class and `_key`, the
+    field values, is equal; the hash is that of `_key`, and the repr shows
+    each field.  Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Restore a copied or unpickled record past the assignment guard."""
+        if isinstance(state, tuple):  # (__dict__ or None, slot values)
+            state = {**(state[0] or {}), **state[1]}
+        for name, value in state.items():
+            _set(self, name, value)
+
+
+class RotationGraph(_Record):
     """A multigraph with a per-vertex cyclic ordering of incident edges.
 
     vertices: vertex identifiers (non-negative ints).
@@ -43,9 +89,15 @@ class RotationGraph:
               self-loop at v appears twice in v's rotation.
     """
 
+    _fields = ("vertices", "edges", "rotation")
     vertices: tuple[int, ...]
     edges: dict[int, tuple[int, int]]
     rotation: dict[int, tuple[int, ...]]
+
+    def __init__(self, vertices, edges, rotation):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "rotation", rotation)
 
     @staticmethod
     def build(vertices, edges, rotation) -> "RotationGraph":
@@ -100,15 +152,22 @@ class RotationGraph:
         return out
 
 
-@dataclass(frozen=True)
-class DartIndex:
+class DartIndex(_Record):
     """Flat per-dart arrays of a rotation graph (see the module docstring)."""
 
+    _fields = ("first", "vertex", "edge", "twin", "dart_of")
     first: dict[int, int]  # vertex -> its slot-0 dart
     vertex: list[int]  # dart -> vertex
     edge: list[int]  # dart -> edge id
     twin: list[int]  # dart -> the other dart of its edge
     dart_of: dict[int, int]  # edge id -> its lower dart
+
+    def __init__(self, first, vertex, edge, twin, dart_of):
+        _set(self, "first", first)
+        _set(self, "vertex", vertex)
+        _set(self, "edge", edge)
+        _set(self, "twin", twin)
+        _set(self, "dart_of", dart_of)
 
     @staticmethod
     def of(g: RotationGraph) -> "DartIndex":
@@ -300,19 +359,21 @@ def find(parent, x):
     return x
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(_Record):
     """Problem parameters: at most `a` angles per vertex, each spanning
     `m` consecutive slots.  The basic angle cover is (a=1, m=2)."""
 
-    a: int = 1
-    m: int = 2
+    __slots__ = _fields = ("a", "m")
+    a: int
+    m: int
 
-    def __post_init__(self):
-        if self.a < 1:
+    def __init__(self, a=1, m=2):
+        if a < 1:
             raise ValueError("need a >= 1")
-        if self.m < 2:
+        if m < 2:
             raise ValueError("need m >= 2")
+        _set(self, "a", a)
+        _set(self, "m", m)
 
 
 BASIC_SPEC = CoverSpec(1, 2)
@@ -334,8 +395,7 @@ def coverable_slots(g: RotationGraph, spec: CoverSpec) -> int:
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(_Record):
     """A contiguous arc of rotation slots at a vertex.
 
     Covers slots start, start+1, ..., start+width-1 (mod deg(vertex)).
@@ -343,19 +403,28 @@ class Angle:
     all of its incident edges with one angle.
     """
 
+    __slots__ = _fields = ("vertex", "start", "width")
     vertex: int
     start: int
     width: int
+
+    def __init__(self, vertex, start, width):
+        _set(self, "vertex", vertex)
+        _set(self, "start", start)
+        _set(self, "width", width)
 
     def slots(self, deg: int) -> list[int]:
         return [(self.start + i) % deg for i in range(self.width)]
 
 
-@dataclass(frozen=True)
-class AngleAssignment:
+class AngleAssignment(_Record):
     """Per-vertex lists of angles.  Vertices may be absent (zero angles)."""
 
+    __slots__ = _fields = ("angles",)
     angles: dict[int, tuple[Angle, ...]]
+
+    def __init__(self, angles):
+        _set(self, "angles", angles)
 
     @staticmethod
     def build(angles: dict[int, list[Angle]]) -> "AngleAssignment":
@@ -369,8 +438,7 @@ class AngleAssignment:
             yield from self.angles[v]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Solver verdict plus, for YES, a validating assignment.
 
     The counters are the exhaustive search's (`solve.oracle_solve`), zero
@@ -378,13 +446,31 @@ class Certificate:
     counts the conflicts raised by the search's capacity orientation.
     """
 
+    __slots__ = _fields = (
+        "verdict", "assignment", "decisions", "conflicts", "learned", "restarts", "tight",
+    )
     verdict: str  # "YES", "NO" or "INDETERMINATE"
-    assignment: AngleAssignment | None = None
-    decisions: int = field(default=0, compare=False)
-    conflicts: int = field(default=0, compare=False)
-    learned: int = field(default=0, compare=False)  # clauses kept; units go to level 0
-    restarts: int = field(default=0, compare=False)
-    tight: int = field(default=0, compare=False)
+    assignment: AngleAssignment | None
+    decisions: int
+    conflicts: int
+    learned: int  # clauses kept; units go to level 0
+    restarts: int
+    tight: int
+
+    def __init__(
+        self, verdict, assignment=None, decisions=0, conflicts=0, learned=0, restarts=0,
+        tight=0,
+    ):
+        _set(self, "verdict", verdict)
+        _set(self, "assignment", assignment)
+        _set(self, "decisions", decisions)
+        _set(self, "conflicts", conflicts)
+        _set(self, "learned", learned)
+        _set(self, "restarts", restarts)
+        _set(self, "tight", tight)
+
+    def _key(self) -> tuple:
+        return self.verdict, self.assignment
 
     @property
     def is_yes(self) -> bool:
@@ -459,11 +545,16 @@ def _violations(g: RotationGraph) -> list[str]:
     return issues
 
 
-@dataclass(frozen=True)
-class CoverCheck:
+class CoverCheck(_Record):
+    __slots__ = _fields = ("valid", "uncovered_edges", "violations")
     valid: bool
     uncovered_edges: tuple[int, ...]
     violations: tuple[str, ...]
+
+    def __init__(self, valid, uncovered_edges, violations):
+        _set(self, "valid", valid)
+        _set(self, "uncovered_edges", uncovered_edges)
+        _set(self, "violations", violations)
 
 
 def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> CoverCheck:
@@ -509,15 +600,24 @@ def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> Cove
     return CoverCheck(valid, tuple(uncovered), tuple(violations))
 
 
-@dataclass(frozen=True, eq=False)
-class FaceData:
+class FaceData(_Record):
     """The faces of a combinatorial map and its genus.  `trace_faces`
     only counts the faces; their (vertex, slot) cycles are built from the
-    dart index when `faces` is first read."""
+    dart index when `faces` is first read.  Compared by identity; the
+    repr leaves out the index."""
 
+    _fields = ("num_faces", "genus")
     num_faces: int
     genus: int
-    index: DartIndex = field(repr=False)
+    index: DartIndex
+
+    def __init__(self, num_faces, genus, index):
+        _set(self, "num_faces", num_faces)
+        _set(self, "genus", genus)
+        _set(self, "index", index)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @cached_property
     def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -586,7 +686,7 @@ def trace_faces(g: RotationGraph) -> FaceData:
                 d = t + 1
                 if d == n or vertex[d] != w:
                     d = first[w]
-    isolated = sum(1 for v in g.vertices if not g.deg(v))
+    isolated = ix.degree.count(0)
     c += isolated
     defect = 2 * c - len(g.vertices) + len(g.edges) - (f + isolated)
     assert defect % 2 == 0, "face tracing produced an odd Euler defect"

@@ -12,10 +12,8 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .allocate import maximum_matching
-from .core import Orientation, RotationGraph
+from .core import Orientation, RotationGraph, _Record, _set
 from .transform import BipartiteGraph
 
 
@@ -31,11 +29,16 @@ def max_bipartite_matching(b: BipartiteGraph) -> dict:
     return {l: b.right[j - len(left)] for l, j in zip(b.left, mate) if j >= 0}
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(_Record):
+    __slots__ = _fields = ("low_density", "matching", "witness")
     low_density: bool
     matching: dict  # edge -> (vertex, copy 0 or 1) for every placed edge
-    witness: frozenset | None = None
+    witness: frozenset | None
+
+    def __init__(self, low_density, matching, witness=None):
+        _set(self, "low_density", low_density)
+        _set(self, "matching", matching)
+        _set(self, "witness", witness)
 
 
 def check_low_density(g: RotationGraph) -> DensityReport:

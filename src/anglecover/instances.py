@@ -11,19 +11,25 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import product
 
-from .core import Angle, AngleAssignment, RotationGraph, find
+from .core import Angle, AngleAssignment, RotationGraph, _Record, _set, find
 
 
-@dataclass(frozen=True)
-class NamedInstance:
+class NamedInstance(_Record):
+    __slots__ = _fields = ("name", "graph", "expected", "labels", "cover")
     name: str
     graph: RotationGraph
-    expected: str | None = None  # verdict for the (1, 2) problem
-    labels: dict[str, int] | None = None
-    cover: AngleAssignment | None = None  # known-good cover, when shipped
+    expected: str | None  # verdict for the (1, 2) problem
+    labels: dict[str, int] | None
+    cover: AngleAssignment | None  # known-good cover, when shipped
+
+    def __init__(self, name, graph, expected=None, labels=None, cover=None):
+        _set(self, "name", name)
+        _set(self, "graph", graph)
+        _set(self, "expected", expected)
+        _set(self, "labels", labels)
+        _set(self, "cover", cover)
 
 
 def _graph_from_coords(
@@ -614,15 +620,19 @@ def gen_random_outerplane(n: int, seed) -> RotationGraph:
             diagonals.append((k, hi))
         stack += [(k, hi), (lo, k)]
     kept = [d for d in diagonals if rng.random() < 0.7]
-    names = [f"v{i}" for i in range(n)]
-    pos = {
-        f"v{i}": (math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n))
-        for i in range(n)
-    }
-    edge_list = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
-    edge_list += [(f"v{i}", f"v{j}") for i, j in kept]
-    g, _ = _graph_from_coords(names, pos, edge_list)
-    return g
+    edge_list = [(i, (i + 1) % n) for i in range(n)]
+    edge_list += kept
+    # The rotations of `_graph_from_coords`, from the same atan2 calls in
+    # the same order: counterclockwise by departure angle, ties by edge id.
+    pos = [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)) for i in range(n)]
+    tau = 2 * math.pi
+    darts: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edge_list):
+        (xu, yu), (xv, yv) = pos[u], pos[v]
+        darts[u].append((math.atan2(yv - yu, xv - xu) % tau, e))
+        darts[v].append((math.atan2(yu - yv, xu - xv) % tau, e))
+    rotation = {v: tuple(e for _, e in sorted(row)) for v, row in enumerate(darts)}
+    return RotationGraph(tuple(range(n)), dict(enumerate(edge_list)), rotation)
 
 
 def gen_random_plane_deg4(n: int, seed) -> RotationGraph:

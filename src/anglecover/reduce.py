@@ -13,7 +13,6 @@ raising its allowance of uncovered edges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .core import (
     AngleAssignment,
@@ -23,6 +22,8 @@ from .core import (
     UnsupportedInputError,
     check_cover,
     coverable_slots,
+    _Record,
+    _set,
 )
 from .transform import Multigraph
 
@@ -31,8 +32,7 @@ class InvalidWitnessError(ValueError):
     """The supplied witness graph actually admits a cover."""
 
 
-@dataclass(frozen=True)
-class GadgetMap:
+class GadgetMap(_Record):
     """Bookkeeping for the 3-colouring reduction.
 
     `centre[v]` is the gadget centre for source vertex v; `e`, `a` and
@@ -43,6 +43,9 @@ class GadgetMap:
     three inter-gadget edges standing in for source edge e.
     """
 
+    __slots__ = _fields = (
+        "centre", "e", "a", "b", "edge_order", "centre_edges", "cross_edges",
+    )
     centre: dict[int, int]
     e: dict[tuple[int, int, int], int]
     a: dict[tuple[int, int, int], int]
@@ -50,6 +53,15 @@ class GadgetMap:
     edge_order: dict[int, tuple[int, ...]]
     centre_edges: dict[tuple[int, int], int]
     cross_edges: dict[int, tuple[int, int, int]]
+
+    def __init__(self, centre, e, a, b, edge_order, centre_edges, cross_edges):
+        _set(self, "centre", centre)
+        _set(self, "e", e)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "edge_order", edge_order)
+        _set(self, "centre_edges", centre_edges)
+        _set(self, "cross_edges", cross_edges)
 
 
 def _require_simple(g: Multigraph) -> None:
@@ -63,14 +75,19 @@ def _require_simple(g: Multigraph) -> None:
         seen.add(key)
 
 
-@dataclass
-class _Builder:
+class _Builder(_Record):
     """Mutable output-graph under construction."""
 
-    edges: dict[int, tuple[int, int]] = field(default_factory=dict)
-    rot: dict[int, list[int]] = field(default_factory=dict)
-    next_vertex: int = 0
-    next_edge: int = 0
+    __slots__ = _fields = ("edges", "rot", "next_vertex", "next_edge")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # mutable
+
+    def __init__(self, edges=None, rot=None, next_vertex=0, next_edge=0):
+        self.edges = {} if edges is None else edges
+        self.rot = {} if rot is None else rot
+        self.next_vertex = next_vertex
+        self.next_edge = next_edge
 
     def new_vertex(self) -> int:
         v = self.next_vertex
@@ -300,14 +317,19 @@ def _check_gadget_degrees(
             assert h.deg(host) == inner
 
 
-@dataclass(frozen=True)
-class TFragment:
+class TFragment(_Record):
     """A degree-8 blocker: K7 plus two hubs, hung on an external vertex
     by two stub edges.  Any 2-angle cover leaves one stub for the host."""
 
+    __slots__ = _fields = ("graph", "stub_edges", "external")
     graph: RotationGraph
     stub_edges: tuple[int, int]
     external: int
+
+    def __init__(self, graph, stub_edges, external):
+        _set(self, "graph", graph)
+        _set(self, "stub_edges", stub_edges)
+        _set(self, "external", external)
 
 
 def _attach_t(b: _Builder, host: int) -> tuple[int, int]:

@@ -13,8 +13,8 @@ max-degree-4 and sextet solvers are one slot-pairing walk on the dart index
 
 from __future__ import annotations
 
-from dataclasses import replace
 from heapq import heappop, heappush
+from itertools import compress
 from operator import eq, lt, not_, or_
 
 from .core import (
@@ -65,8 +65,9 @@ def min_arc_cover(deg: int, slots, m: int) -> tuple[int, list[int]]:
     return len(best), best
 
 
-def _cover(g: RotationGraph, marks, m: int, a: int) -> Certificate:
-    """YES certificate from one mark per dart of `g.dart_index`.
+def _cover(g: RotationGraph, marks, m: int, a: int, **counters) -> Certificate:
+    """YES certificate, carrying `counters`, from one mark per dart of
+    `g.dart_index`.
 
     A slot is covered when its dart's mark is 1.  Each vertex's covered
     slots get a minimum cover by arcs of width min(m, deg), at most `a`
@@ -87,7 +88,7 @@ def _cover(g: RotationGraph, marks, m: int, a: int) -> Certificate:
         w, arcs = hit
         if arcs:
             angles[v] = tuple(Angle(v, s, w) for s in arcs)
-    return Certificate("YES", AngleAssignment(angles))
+    return Certificate("YES", AngleAssignment(angles), **counters)
 
 
 # Reasons of the literals that the two lazily explained constraints imply.
@@ -191,12 +192,20 @@ def oracle_solve(
     level, pos, reason, act = [0] * n, [0] * n, [None] * n, [0.0] * n
     phase = [x if x < twin[x] else neg[x] for x in range(n)]
     heap = [(0.0, x) for x in variables]  # VSIDS order: (-activity, variable)
-    watches: list[list[list[int]]] = [[] for _ in neg]
+    watches: list[list[list[int]] | None] = [None] * len(neg)  # made on first use
     trail: list[int] = []
     lim: list[int] = []  # trail length where each decision level starts
     unc: list[int] = []  # the later false dart of each uncovered edge
     qhead = 0
     inc = 1.0
+
+    def watch(c: list[int], i: int = 1) -> None:
+        """Add clause c to the watch list of its literal c[i]."""
+        ws = watches[c[i]]
+        if ws is None:
+            watches[c[i]] = [c]
+        else:
+            ws.append(c)
 
     def assign(p: int, why) -> None:
         x = var[p]
@@ -271,28 +280,29 @@ def oracle_solve(
             qhead += 1
             q = neg[p]
             ws = watches[q]
-            i = j = 0
-            while i < len(ws):
-                c = ws[i]
-                i += 1
-                if c[0] == q:
-                    c[0], c[1] = c[1], q
-                if val[c[0]] != 1:
-                    for t in range(2, len(c)):
-                        if val[c[t]] != -1:
-                            c[1], c[t] = c[t], q
-                            watches[c[1]].append(c)
-                            break
-                    else:
-                        if val[c[0]] == -1:
-                            del ws[j : i - 1]
-                            return c
-                        assign(c[0], c)
-                    if c[1] != q:
-                        continue
-                ws[j] = c
-                j += 1
-            del ws[j:]
+            if ws:
+                i = j = 0
+                while i < len(ws):
+                    c = ws[i]
+                    i += 1
+                    if c[0] == q:
+                        c[0], c[1] = c[1], q
+                    if val[c[0]] != 1:
+                        for t in range(2, len(c)):
+                            if val[c[t]] != -1:
+                                c[1], c[t] = c[t], q
+                                watch(c)
+                                break
+                        else:
+                            if val[c[0]] == -1:
+                                del ws[j : i - 1]
+                                return c
+                            assign(c[0], c)
+                        if c[1] != q:
+                            continue
+                    ws[j] = c
+                    j += 1
+                del ws[j:]
             h = home[p] if p < n else -1
             if h >= 0:
                 dg, mk = deg[rank[h]], mask[h]
@@ -385,7 +395,12 @@ def oracle_solve(
     # Level 0: an edge with a free candidate end is covered there, a
     # forced edge at its forced end; with an allowance its other dart is
     # false, and a forced loop is covered at one of its two darts.
-    for e in sorted(g.edges):
+    # Without `forced` only the edges with an end at a free vertex act.
+    if forced:
+        todo = sorted(g.edges)
+    else:
+        todo = sorted(set(compress(ix.edge, [free[x] for x in rank])))
+    for e in todo:
         d = ix.dart_of[e]
         ends = (d, twin[d]) if vertex[d] == g.edges[e][0] else (twin[d], d)
         if forced and e in forced:
@@ -398,8 +413,9 @@ def oracle_solve(
             if k:
                 assign(neg[twin[pick]], None)
         elif len(ends) == 2 and forced and e in forced and k:
-            watches[d].append([d, twin[d]])
-            watches[twin[d]].append(watches[d][-1])
+            pair = [d, twin[d]]
+            watch(pair, 0)
+            watch(pair)
 
     if len(g.edges) - k > coverable_slots(g, spec):
         return Certificate("NO")
@@ -419,8 +435,8 @@ def oracle_solve(
             clause, back = analyze(confl)
             backjump(back)
             if len(clause) > 1:
-                watches[clause[0]].append(clause)
-                watches[clause[1]].append(clause)
+                watch(clause, 0)
+                watch(clause)
                 learned += 1
             assign(clause[0], clause if len(clause) > 1 else None)
             inc /= ACTIVITY_DECAY
@@ -457,7 +473,7 @@ def oracle_solve(
     for f, dg, fr in zip(start, deg, free):
         if fr and any(marks[f : f + dg]):
             marks[f : f + dg] = b"\1" * dg
-    return replace(_cover(g, marks, m, a), **stats)
+    return _cover(g, marks, m, a, **stats)
 
 
 # ---------------------------------------------------------------------------

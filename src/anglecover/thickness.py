@@ -10,7 +10,6 @@ verified by face tracing, never assumed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import (
     AngleAssignment,
@@ -19,17 +18,24 @@ from .core import (
     UnsupportedInputError,
     check_cover,
     trace_faces,
+    _Record,
+    _set,
 )
 from .transform import blowup2, blowup_vertex
 
 
-@dataclass(frozen=True)
-class BlowupDecomposition:
+class BlowupDecomposition(_Record):
     """Two isomorphic genus-0 layers whose union is the 2-blowup."""
 
+    __slots__ = _fields = ("h", "h_tilde", "iso")
     h: RotationGraph
     h_tilde: RotationGraph
     iso: dict[int, int]  # copy swap: 2v <-> 2v+1
+
+    def __init__(self, h, h_tilde, iso):
+        _set(self, "h", h)
+        _set(self, "h_tilde", h_tilde)
+        _set(self, "iso", iso)
 
 
 def _angle_edges(g: RotationGraph, asg: AngleAssignment, v: int):
@@ -136,10 +142,14 @@ def blowup_decomposition(
     return BlowupDecomposition(h, h_tilde, iso)
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(_Record):
+    __slots__ = _fields = ("valid", "violations")
     valid: bool
     violations: tuple[str, ...]
+
+    def __init__(self, valid, violations):
+        _set(self, "valid", valid)
+        _set(self, "violations", violations)
 
 
 def verify_decomposition(

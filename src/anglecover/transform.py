@@ -9,31 +9,37 @@ the tests check it against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import RotationGraph, UnsupportedInputError
+from .core import RotationGraph, UnsupportedInputError, _Record, _set
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(_Record):
     """A plain multigraph: no rotation system attached."""
 
+    __slots__ = _fields = ("vertices", "edges")
     vertices: tuple[int, ...]
     edges: dict[int, tuple[int, int]]
+
+    def __init__(self, vertices, edges):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     def num_edges(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(_Record):
+    __slots__ = _fields = ("left", "right", "edges")
     left: tuple
     right: tuple
     edges: tuple[tuple, ...]  # (left node, right node) pairs
 
+    def __init__(self, left, right, edges):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "edges", edges)
 
-@dataclass(frozen=True)
-class Crossing:
+
+class Crossing(_Record):
     """A crossing of two edge interiors.
 
     `bit` fixes the cyclic order of the four pieces around the crossing:
@@ -41,13 +47,18 @@ class Crossing:
     f-target>, 1 swaps f's two ends.
     """
 
+    __slots__ = _fields = ("e", "f", "bit")
     e: int
     f: int
     bit: int
 
+    def __init__(self, e, f, bit):
+        _set(self, "e", e)
+        _set(self, "f", f)
+        _set(self, "bit", bit)
 
-@dataclass(frozen=True)
-class TopologicalGraph:
+
+class TopologicalGraph(_Record):
     """A rotation graph with a drawing's crossing data.
 
     `sequences` lists, for each edge, its crossing ids in order from the
@@ -55,9 +66,15 @@ class TopologicalGraph:
     are crossing-free.
     """
 
+    __slots__ = _fields = ("base", "crossings", "sequences")
     base: RotationGraph
     crossings: dict[int, Crossing]
     sequences: dict[int, tuple[int, ...]]
+
+    def __init__(self, base, crossings, sequences):
+        _set(self, "base", base)
+        _set(self, "crossings", crossings)
+        _set(self, "sequences", sequences)
 
     def validate(self) -> list[str]:
         # Piece ids pair an edge id with a piece index (`_piece_id`), which

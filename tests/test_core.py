@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from itertools import combinations
 
@@ -8,6 +10,8 @@ from anglecover.core import (
     Angle,
     AngleAssignment,
     BASIC_SPEC,
+    Certificate,
+    CoverCheck,
     CoverSpec,
     Orientation,
     RotationGraph,
@@ -137,6 +141,52 @@ def test_coverspec_validation():
         CoverSpec(0, 2)
     with pytest.raises(ValueError):
         CoverSpec(1, 1)
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [
+        (Angle(0, 1, 2), "start"),
+        (CoverSpec(1, 2), "m"),
+        (Certificate("YES", None, 3), "decisions"),
+        (RotationGraph((0,), {}, {0: ()}), "edges"),
+    ],
+    ids=["Angle", "CoverSpec", "Certificate", "RotationGraph"],
+)
+def test_records_refuse_assignment(record, name):
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 7)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert repr(record) == before
+
+
+def test_records_survive_copy_and_pickle():
+    g = rotation_graph([(0, 1), (1, 2), (2, 0)])
+    cert = Certificate("YES", AngleAssignment({0: (Angle(0, 0, 2),)}), 4, 3, 2, 1, 1)
+    for record in (Angle(3, 1, 2), CoverSpec(2, 3), cert, g, trace_faces(g)):
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and repr(clone) == repr(record)
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert pickle.loads(pickle.dumps(cert)).tight == 1
+
+
+def test_records_hash_and_show_their_fields():
+    assert Angle(3, 1, 2) == Angle(3, 1, 2) != Angle(3, 2, 2)
+    assert len({Angle(3, 1, 2), Angle(3, 1, 2), Angle(2, 1, 2)}) == 2
+    assert hash(CoverSpec()) == hash(CoverSpec(1, 2)) == hash(BASIC_SPEC)
+    assert CoverSpec(a=2) == CoverSpec(2, 2) != CoverSpec(2, 3)
+    # Equal fields in another class are not equal.
+    assert Angle(1, 2, 2) != CoverSpec(1, 2)
+    assert repr(Angle(3, 1, 2)) == "Angle(vertex=3, start=1, width=2)"
+    assert repr(CoverSpec(2, 3)) == "CoverSpec(a=2, m=3)"
+    assert (
+        repr(CoverCheck(False, (1,), ("vertex 0: 2 angles exceed limit 1",)))
+        == "CoverCheck(valid=False, uncovered_edges=(1,),"
+        " violations=('vertex 0: 2 angles exceed limit 1',))"
+    )
 
 
 def test_effective_width_small_degree():

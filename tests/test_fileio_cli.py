@@ -223,15 +223,23 @@ def test_cli_import_does_not_load_networkx():
     assert out.stdout == "False\n"
 
 
+# Standard modules that only record or introspection code would load;
+# `dataclasses` imports `inspect`, which costs every CLI call about 10 ms.
+HEAVY_STDLIB = {"dataclasses", "inspect"}
+
+
 def _modules_loaded(tmp_path, argv):
-    """The anglecover modules a fresh interpreter holds after importing
-    the CLI and, unless `argv` is None, running it on `argv` with exit 0."""
+    """The anglecover modules, and those of HEAVY_STDLIB, that a fresh
+    interpreter holds after importing the CLI and, unless `argv` is None,
+    running it on `argv` with exit 0."""
     code = (
         "import sys\n"
         "from anglecover.cli import main\n"
         f"argv = {argv!r}\n"
         "status = 0 if argv is None else main(argv)\n"
-        "print(status, *(m for m in sys.modules if m.startswith('anglecover')))\n"
+        f"heavy = {HEAVY_STDLIB!r}\n"
+        "print(status, *(m for m in sys.modules\n"
+        "                if m.startswith('anglecover') or m in heavy))\n"
     )
     src = os.path.dirname(os.path.dirname(anglecover.__file__))
     proc = subprocess.run(
@@ -262,6 +270,7 @@ NO_REDUCE = {"anglecover.solve", "anglecover.reduce"}
 @pytest.mark.parametrize(
     "argv, absent",
     [
+        (None, set()),
         (["instance", "fig1"], NO_REDUCE),
         (["gen", "regular", "-n", "20", "--seed", "1"], NO_REDUCE),
         (["check", "fig1.inst", "fig1.cover"], NO_REDUCE),
@@ -272,7 +281,8 @@ NO_REDUCE = {"anglecover.solve", "anglecover.reduce"}
         (["solve", "fig1.inst"], {f"anglecover.{m}" for m in ("density", "allocate", "transform")}),
         (["density", "tri.inst"], {"anglecover.solve"}),
     ],
-    ids=["instance", "gen", "check", "reduce-3col", "instance-t-graph", "solve", "density"],
+    ids=["import", "instance", "gen", "check", "reduce-3col", "instance-t-graph", "solve",
+         "density"],
 )
 def test_cli_light_commands_load_no_solver(tmp_path, argv, absent):
     fig1 = get_instance("fig1")
@@ -282,6 +292,7 @@ def test_cli_light_commands_load_no_solver(tmp_path, argv, absent):
     loaded = _modules_loaded(tmp_path, argv)
     assert "anglecover.cli" in loaded
     assert not loaded & absent
+    assert not loaded & HEAVY_STDLIB
 
 
 def test_cli_check(tmp_path, capsys):
@@ -333,6 +344,18 @@ def test_cli_decompose(tmp_path, capsys):
     assert main(["decompose", "--verify", f]) == 0
     out = capsys.readouterr().out
     assert "# layer 1" in out and "# layer 2" in out
+
+
+def test_cli_decompose_rejects_a_partial_cover(tmp_path, capsys):
+    tri = write(tmp_path, "tri.inst", serialize_instance(rotation_graph([(0, 1), (1, 2), (2, 0)])))
+    part = write(tmp_path, "part.cover", "angle 0 0 2\n")
+    assert main(["decompose", tri, part]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: assignment is not a cover: "
+        "CoverCheck(valid=False, uncovered_edges=(1,), violations=())\n"
+    )
 
 
 def test_cli_decompose_solves_as_solve_auto(tmp_path, capsys):

@@ -216,6 +216,18 @@ PINNED_BYTES = [
      "59fbcc21a1003762edaebdcd201fb3db5cdff8599c3f891f33103ecef4d37189"),
     (_laman, (300, 3),
      "ae4bad33003befb7d671c46b19311085372f756fb4afe6ddc6ee4d66ca07886e"),
+    (gen_random_outerplane, (3, 0),
+     "b50b0c0a3746da74a184b527d8b420b4e60840bfd2a9967385262957a9ea20c7"),
+    (gen_random_outerplane, (17, 1),
+     "d85e7b296b013ddb2c3492278f8d1bd0e3ef61bf056f72be5b1b68f21687687d"),
+    # The cli workload's outerplane instance and the search workload's
+    # two at seed 1.
+    (gen_random_outerplane, (200, 108),
+     "e1ecf764d15bb2879d8de26331c680f6fdad1b08824063294462c6265ec889d1"),
+    (gen_random_outerplane, (600, 103),
+     "20fa12fff44d586e45aab9b094ca50c9624d381b2b01409a889a3114c22855cc"),
+    (gen_random_outerplane, (1000, 104),
+     "e3be6706d5f50f8c3bebefae7ffe3aa26e10fa28ce5ae0d24c0273be190b6da9"),
     # The matching workload's instances at seed 1.
     (gen_regular, (1500, 4, 101),
      "3b9d9c45b9ecdd473892fe838896f49bea9a9200f8578826b8f561e7a08460a6"),
