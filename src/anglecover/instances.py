@@ -33,12 +33,15 @@ class NamedInstance(_Record):
 
 
 def _graph_from_coords(
-    names: list[str],
-    positions: dict[str, tuple[float, float]],
-    edge_list: list[tuple[str, str]],
-    bends: dict[tuple[int, str], float] | None = None,
-) -> tuple[RotationGraph, dict[str, int]]:
+    names,
+    positions,
+    edge_list: list[tuple],
+    bends: dict[tuple, float] | None = None,
+) -> tuple[RotationGraph, dict]:
     """Build a RotationGraph from a straight-line drawing.
+
+    `names` lists the vertex names, and `positions` maps each name to its
+    (x, y); a list serves when the names are 0, 1, ...
 
     Rotations are counterclockwise by departure direction; `bends` may
     override the departure angle (degrees) of an edge at one endpoint,
@@ -46,20 +49,21 @@ def _graph_from_coords(
     """
     ids = {name: i for i, name in enumerate(names)}
     edges = {i: (ids[u], ids[v]) for i, (u, v) in enumerate(edge_list)}
-    bends = bends or {}
+    tau = 2 * math.pi
     darts: dict[int, list[tuple[float, int]]] = {i: [] for i in ids.values()}
     for i, (u, v) in enumerate(edge_list):
-        for here, there in ((u, v), (v, u)):
-            if (i, here) in bends:
-                ang = math.radians(bends[(i, here)])
-            else:
-                (x1, y1), (x2, y2) = positions[here], positions[there]
-                ang = math.atan2(y2 - y1, x2 - x1)
-            darts[ids[here]].append((ang % (2 * math.pi), i))
-    rotation = {
-        v: tuple(e for _, e in sorted(slot_list)) for v, slot_list in darts.items()
-    }
-    return RotationGraph.build(sorted(ids.values()), edges, rotation), ids
+        (xu, yu), (xv, yv) = positions[u], positions[v]
+        at_u, at_v = math.atan2(yv - yu, xv - xu), math.atan2(yu - yv, xu - xv)
+        if bends:
+            if (i, u) in bends:
+                at_u = math.radians(bends[i, u])
+            if (i, v) in bends:
+                at_v = math.radians(bends[i, v])
+        darts[ids[u]].append((at_u % tau, i))
+        darts[ids[v]].append((at_v % tau, i))
+    rotation = {v: tuple(e for _, e in sorted(row)) for v, row in darts.items()}
+    # Every container is fresh, so the graph takes them without a copy.
+    return RotationGraph(tuple(sorted(ids.values())), edges, rotation), ids
 
 
 def _graph_from_tables(
@@ -622,17 +626,10 @@ def gen_random_outerplane(n: int, seed) -> RotationGraph:
     kept = [d for d in diagonals if rng.random() < 0.7]
     edge_list = [(i, (i + 1) % n) for i in range(n)]
     edge_list += kept
-    # The rotations of `_graph_from_coords`, from the same atan2 calls in
-    # the same order: counterclockwise by departure angle, ties by edge id.
+    # Vertex names are the integers themselves, positions a list by them.
     pos = [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)) for i in range(n)]
-    tau = 2 * math.pi
-    darts: list[list[tuple[float, int]]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(edge_list):
-        (xu, yu), (xv, yv) = pos[u], pos[v]
-        darts[u].append((math.atan2(yv - yu, xv - xu) % tau, e))
-        darts[v].append((math.atan2(yu - yv, xu - xv) % tau, e))
-    rotation = {v: tuple(e for _, e in sorted(row)) for v, row in enumerate(darts)}
-    return RotationGraph(tuple(range(n)), dict(enumerate(edge_list)), rotation)
+    g, _ = _graph_from_coords(range(n), pos, edge_list)
+    return g
 
 
 def gen_random_plane_deg4(n: int, seed) -> RotationGraph:

@@ -75,13 +75,10 @@ def _require_simple(g: Multigraph) -> None:
         seen.add(key)
 
 
-class _Builder(_Record):
+class _Builder:
     """Mutable output-graph under construction."""
 
-    __slots__ = _fields = ("edges", "rot", "next_vertex", "next_edge")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # mutable
+    __slots__ = ("edges", "rot", "next_vertex", "next_edge")
 
     def __init__(self, edges=None, rot=None, next_vertex=0, next_edge=0):
         self.edges = {} if edges is None else edges

@@ -394,12 +394,12 @@ def oracle_solve(
 
     # Level 0: an edge with a free candidate end is covered there, a
     # forced edge at its forced end; with an allowance its other dart is
-    # false, and a forced loop is covered at one of its two darts.
-    # Without `forced` only the edges with an end at a free vertex act.
-    if forced:
-        todo = sorted(g.edges)
-    else:
-        todo = sorted(set(compress(ix.edge, [free[x] for x in rank])))
+    # false, and a forced loop is covered at one of its two darts.  Only
+    # the edges with an end at a free vertex and the forced edges act.
+    todo = sorted({
+        *compress(ix.edge, [free[x] for x in rank]),
+        *(forced.keys() & g.edges.keys() if forced else ()),
+    })
     for e in todo:
         d = ix.dart_of[e]
         ends = (d, twin[d]) if vertex[d] == g.edges[e][0] else (twin[d], d)
