@@ -118,6 +118,11 @@ def _solve(
     return solve_outerplane(g, budget=budget), spec
 
 
+def _indeterminate() -> int:
+    print("INDETERMINATE: search budget exhausted", file=sys.stderr)
+    return EXIT_INDETERMINATE
+
+
 def _cmd_solve(args) -> int:
     spec = _spec(args)
     algo = args.algo
@@ -132,8 +137,7 @@ def _cmd_solve(args) -> int:
     g = _load_graph(args.file)
     cert, spec = _solve(g, spec, algo, args.budget)
     if cert.verdict == "INDETERMINATE":
-        print("INDETERMINATE: search budget exhausted", file=sys.stderr)
-        return EXIT_INDETERMINATE
+        return _indeterminate()
     if cert.verdict == "NO":
         return EXIT_NO
     if args.verify:
@@ -221,8 +225,7 @@ def _cmd_decompose(args) -> int:
     else:
         cert, _ = _solve(g, BASIC_SPEC, "auto", args.budget)
         if cert.verdict == "INDETERMINATE":
-            print("INDETERMINATE: search budget exhausted", file=sys.stderr)
-            return EXIT_INDETERMINATE
+            return _indeterminate()
         if cert.verdict == "NO":
             print("no cover; cannot decompose", file=sys.stderr)
             return EXIT_NO
@@ -243,6 +246,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_reduce(args) -> int:
     from .reduce import (
+        WitnessBudgetError,
         reduce_2angle_deg8,
         reduce_3col,
         reduce_multi,
@@ -263,7 +267,10 @@ def _cmd_reduce(args) -> int:
         if not args.witness:
             raise UnsupportedInputError("witness variant needs --witness FILE")
         w = _load_graph(args.witness)
-        out = reduce_witness(g, w, args.angles, budget=args.budget)
+        try:
+            out = reduce_witness(g, w, args.angles, budget=args.budget)
+        except WitnessBudgetError:
+            return _indeterminate()
     sys.stdout.write(serialize_instance(out))
     return EXIT_YES
 

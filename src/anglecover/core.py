@@ -17,7 +17,9 @@ exhaustive search and the density test starts from it.
 The records here and in the other modules are plain classes on one base,
 `_Record`, not dataclasses: every CLI call imports this module, and
 `dataclasses` would add its own imports (`inspect`, `ast`) and generated
-code for each record to that start-up.
+code for each record to that start-up.  A record lists its fields and the
+defaults of its trailing ones, and `_Record`'s one constructor sets them;
+only `Angle`, `CoverSpec` and `FaceData` write their own, each saying why.
 """
 
 from __future__ import annotations
@@ -41,14 +43,37 @@ _set = object.__setattr__  # how a record's __init__ sets its fields
 
 class _Record:
     """An immutable record.  A subclass names its fields in `_fields`, in
-    constructor order, and sets them in its own `__init__` through `_set`.
-    Two records are equal when they are of one class and `_key`, the
-    field values, is equal; the hash is that of `_key`, and the repr shows
-    each field.  Assigning or deleting an attribute raises AttributeError.
+    constructor order, and `_defaults` holds the values of its trailing
+    optional fields.  The constructor takes the fields by position or by
+    keyword; a missing, surplus, repeated or unknown argument raises
+    TypeError.  A record writes its own `__init__` only to validate its
+    arguments, to set an attribute that is not a field, or to be built
+    faster where a solver builds one per vertex.  Two records are equal
+    when they are of one class and `_key`, the field values, is equal; the
+    hash is that of `_key`, and the repr shows each field.  Assigning or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__qualname__
+        values = dict(zip(fields[len(fields) - len(self._defaults):], self._defaults))
+        values.update(zip(fields, args))
+        # A keyword must name a field that no positional argument gave.
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(
+                f"{name}() takes the fields {fields}; got {len(args)} positional"
+                f" and the keywords {sorted(kwargs)}"
+            )
+        values.update(kwargs)
+        if len(values) < len(fields):
+            missing = [f for f in fields if f not in values]
+            raise TypeError(f"{name}() is missing the fields {missing}")
+        for field in fields:
+            _set(self, field, values[field])
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -93,11 +118,6 @@ class RotationGraph(_Record):
     vertices: tuple[int, ...]
     edges: dict[int, tuple[int, int]]
     rotation: dict[int, tuple[int, ...]]
-
-    def __init__(self, vertices, edges, rotation):
-        _set(self, "vertices", vertices)
-        _set(self, "edges", edges)
-        _set(self, "rotation", rotation)
 
     @staticmethod
     def build(vertices, edges, rotation) -> "RotationGraph":
@@ -161,13 +181,6 @@ class DartIndex(_Record):
     edge: list[int]  # dart -> edge id
     twin: list[int]  # dart -> the other dart of its edge
     dart_of: dict[int, int]  # edge id -> its lower dart
-
-    def __init__(self, first, vertex, edge, twin, dart_of):
-        _set(self, "first", first)
-        _set(self, "vertex", vertex)
-        _set(self, "edge", edge)
-        _set(self, "twin", twin)
-        _set(self, "dart_of", dart_of)
 
     @staticmethod
     def of(g: RotationGraph) -> "DartIndex":
@@ -367,6 +380,7 @@ class CoverSpec(_Record):
     a: int
     m: int
 
+    # Its own constructor: it validates a and m.
     def __init__(self, a=1, m=2):
         if a < 1:
             raise ValueError("need a >= 1")
@@ -408,6 +422,7 @@ class Angle(_Record):
     start: int
     width: int
 
+    # Its own constructor: every solver builds one per vertex (`solve._cover`).
     def __init__(self, vertex, start, width):
         _set(self, "vertex", vertex)
         _set(self, "start", start)
@@ -422,9 +437,6 @@ class AngleAssignment(_Record):
 
     __slots__ = _fields = ("angles",)
     angles: dict[int, tuple[Angle, ...]]
-
-    def __init__(self, angles):
-        _set(self, "angles", angles)
 
     @staticmethod
     def build(angles: dict[int, list[Angle]]) -> "AngleAssignment":
@@ -449,6 +461,7 @@ class Certificate(_Record):
     __slots__ = _fields = (
         "verdict", "assignment", "decisions", "conflicts", "learned", "restarts", "tight",
     )
+    _defaults = (None, 0, 0, 0, 0, 0)
     verdict: str  # "YES", "NO" or "INDETERMINATE"
     assignment: AngleAssignment | None
     decisions: int
@@ -456,18 +469,6 @@ class Certificate(_Record):
     learned: int  # clauses kept; units go to level 0
     restarts: int
     tight: int
-
-    def __init__(
-        self, verdict, assignment=None, decisions=0, conflicts=0, learned=0, restarts=0,
-        tight=0,
-    ):
-        _set(self, "verdict", verdict)
-        _set(self, "assignment", assignment)
-        _set(self, "decisions", decisions)
-        _set(self, "conflicts", conflicts)
-        _set(self, "learned", learned)
-        _set(self, "restarts", restarts)
-        _set(self, "tight", tight)
 
     def _key(self) -> tuple:
         return self.verdict, self.assignment
@@ -551,11 +552,6 @@ class CoverCheck(_Record):
     uncovered_edges: tuple[int, ...]
     violations: tuple[str, ...]
 
-    def __init__(self, valid, uncovered_edges, violations):
-        _set(self, "valid", valid)
-        _set(self, "uncovered_edges", uncovered_edges)
-        _set(self, "violations", violations)
-
 
 def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> CoverCheck:
     """Validity of an angle assignment against a CoverSpec.
@@ -611,6 +607,7 @@ class FaceData(_Record):
     genus: int
     index: DartIndex
 
+    # Its own constructor: it also sets `index`, which is not a field.
     def __init__(self, num_faces, genus, index):
         _set(self, "num_faces", num_faces)
         _set(self, "genus", genus)

@@ -13,7 +13,7 @@ reference.
 from __future__ import annotations
 
 from .allocate import maximum_matching
-from .core import Orientation, RotationGraph, _Record, _set
+from .core import Orientation, RotationGraph, _Record
 from .transform import BipartiteGraph
 
 
@@ -31,14 +31,10 @@ def max_bipartite_matching(b: BipartiteGraph) -> dict:
 
 class DensityReport(_Record):
     __slots__ = _fields = ("low_density", "matching", "witness")
+    _defaults = (None,)
     low_density: bool
     matching: dict  # edge -> (vertex, copy 0 or 1) for every placed edge
     witness: frozenset | None
-
-    def __init__(self, low_density, matching, witness=None):
-        _set(self, "low_density", low_density)
-        _set(self, "matching", matching)
-        _set(self, "witness", witness)
 
 
 def check_low_density(g: RotationGraph) -> DensityReport:

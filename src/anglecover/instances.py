@@ -13,23 +13,17 @@ import math
 import random
 from itertools import product
 
-from .core import Angle, AngleAssignment, RotationGraph, _Record, _set, find
+from .core import Angle, AngleAssignment, RotationGraph, _Record, find
 
 
 class NamedInstance(_Record):
     __slots__ = _fields = ("name", "graph", "expected", "labels", "cover")
+    _defaults = (None, None, None)
     name: str
     graph: RotationGraph
     expected: str | None  # verdict for the (1, 2) problem
     labels: dict[str, int] | None
     cover: AngleAssignment | None  # known-good cover, when shipped
-
-    def __init__(self, name, graph, expected=None, labels=None, cover=None):
-        _set(self, "name", name)
-        _set(self, "graph", graph)
-        _set(self, "expected", expected)
-        _set(self, "labels", labels)
-        _set(self, "cover", cover)
 
 
 def _graph_from_coords(

@@ -23,13 +23,16 @@ from .core import (
     check_cover,
     coverable_slots,
     _Record,
-    _set,
 )
 from .transform import Multigraph
 
 
 class InvalidWitnessError(ValueError):
     """The supplied witness graph actually admits a cover."""
+
+
+class WitnessBudgetError(InvalidWitnessError):
+    """The witness check ran out of search budget before it decided."""
 
 
 class GadgetMap(_Record):
@@ -53,15 +56,6 @@ class GadgetMap(_Record):
     edge_order: dict[int, tuple[int, ...]]
     centre_edges: dict[tuple[int, int], int]
     cross_edges: dict[int, tuple[int, int, int]]
-
-    def __init__(self, centre, e, a, b, edge_order, centre_edges, cross_edges):
-        _set(self, "centre", centre)
-        _set(self, "e", e)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "edge_order", edge_order)
-        _set(self, "centre_edges", centre_edges)
-        _set(self, "cross_edges", cross_edges)
 
 
 def _require_simple(g: Multigraph) -> None:
@@ -323,11 +317,6 @@ class TFragment(_Record):
     stub_edges: tuple[int, int]
     external: int
 
-    def __init__(self, graph, stub_edges, external):
-        _set(self, "graph", graph)
-        _set(self, "stub_edges", stub_edges)
-        _set(self, "external", external)
-
 
 def _attach_t(b: _Builder, host: int) -> tuple[int, int]:
     """One T copy joined to host by its two hub stubs; returns the stub
@@ -445,9 +434,7 @@ def reduce_witness(
         raise UnsupportedInputError("input max degree exceeds 5")
     best = max_coverage(witness, spec, budget)
     if best is None:
-        raise InvalidWitnessError(
-            "witness check exhausted its budget; refusing to guess"
-        )
+        raise WitnessBudgetError("witness check exhausted its budget; refusing to guess")
     if best[0] == len(witness.edges):
         raise InvalidWitnessError("witness admits an a-angle cover")
     d_edges = list(check_cover(witness, best[1], spec).uncovered_edges)

@@ -8,7 +8,9 @@ the linear-time max-degree-4 solver, the 2-SAT solver for graphs without
 degree-3 vertices, the sextet-based solver for even maximum degree, and the
 outerplane entry point (an embedding check in front of the oracle).  The
 max-degree-4 and sextet solvers are one slot-pairing walk on the dart index
-(`DartIndex.walk`, through `_walk_cover`); they differ only in the pairing.
+(`DartIndex.walk`); they differ only in the pairing.  The walk leaves each
+vertex at most once per pair {s, partner[s]}, and the slots it leaves on
+get a minimum arc cover of width 2 (`_cover`).
 """
 
 from __future__ import annotations
@@ -480,15 +482,6 @@ def oracle_solve(
 # The traversal solvers: one walk with a fixed slot pairing.
 
 
-def _walk_cover(g: RotationGraph, partner, a: int) -> Certificate:
-    """Cover g with at most `a` angles per vertex from one slot-pairing walk.
-
-    `DartIndex.walk` leaves each vertex at most once per pair {s,
-    partner[s]}; the slots it leaves on get a minimum arc cover of width 2.
-    """
-    return _cover(g, g.dart_index.walk(partner), 2, a)
-
-
 def solve_deg4(g: RotationGraph) -> Certificate:
     """Linear-time cover for maximum degree 4 (always YES).
 
@@ -498,7 +491,7 @@ def solve_deg4(g: RotationGraph) -> Certificate:
     """
     if g.max_degree() > 4:
         raise UnsupportedInputError("solve_deg4 requires maximum degree <= 4")
-    return _walk_cover(g, (2, 3, 0, 1), 1)
+    return _cover(g, g.dart_index.walk((2, 3, 0, 1)), 2, 1)
 
 
 _SEXTET_PARTNER = (2, 4, 0, 5, 1, 3)
@@ -522,7 +515,7 @@ def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
         s - s % 6 + _SEXTET_PARTNER[s % 6] if s < 6 * k else s ^ 1
         for s in range(delta)
     ]
-    return _walk_cover(g, partner, delta // 2 - k)
+    return _cover(g, g.dart_index.walk(partner), 2, delta // 2 - k)
 
 
 def solve_no_deg3(g: RotationGraph) -> Certificate:

@@ -19,7 +19,6 @@ from .core import (
     check_cover,
     trace_faces,
     _Record,
-    _set,
 )
 from .transform import blowup2, blowup_vertex
 
@@ -31,11 +30,6 @@ class BlowupDecomposition(_Record):
     h: RotationGraph
     h_tilde: RotationGraph
     iso: dict[int, int]  # copy swap: 2v <-> 2v+1
-
-    def __init__(self, h, h_tilde, iso):
-        _set(self, "h", h)
-        _set(self, "h_tilde", h_tilde)
-        _set(self, "iso", iso)
 
 
 def _angle_edges(g: RotationGraph, asg: AngleAssignment, v: int):
@@ -146,10 +140,6 @@ class DecompositionCheck(_Record):
     __slots__ = _fields = ("valid", "violations")
     valid: bool
     violations: tuple[str, ...]
-
-    def __init__(self, valid, violations):
-        _set(self, "valid", valid)
-        _set(self, "violations", violations)
 
 
 def verify_decomposition(

@@ -9,7 +9,7 @@ the tests check it against.
 
 from __future__ import annotations
 
-from .core import RotationGraph, UnsupportedInputError, _Record, _set
+from .core import RotationGraph, UnsupportedInputError, _Record
 
 
 class Multigraph(_Record):
@@ -18,10 +18,6 @@ class Multigraph(_Record):
     __slots__ = _fields = ("vertices", "edges")
     vertices: tuple[int, ...]
     edges: dict[int, tuple[int, int]]
-
-    def __init__(self, vertices, edges):
-        _set(self, "vertices", vertices)
-        _set(self, "edges", edges)
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -32,11 +28,6 @@ class BipartiteGraph(_Record):
     left: tuple
     right: tuple
     edges: tuple[tuple, ...]  # (left node, right node) pairs
-
-    def __init__(self, left, right, edges):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "edges", edges)
 
 
 class Crossing(_Record):
@@ -52,11 +43,6 @@ class Crossing(_Record):
     f: int
     bit: int
 
-    def __init__(self, e, f, bit):
-        _set(self, "e", e)
-        _set(self, "f", f)
-        _set(self, "bit", bit)
-
 
 class TopologicalGraph(_Record):
     """A rotation graph with a drawing's crossing data.
@@ -70,11 +56,6 @@ class TopologicalGraph(_Record):
     base: RotationGraph
     crossings: dict[int, Crossing]
     sequences: dict[int, tuple[int, ...]]
-
-    def __init__(self, base, crossings, sequences):
-        _set(self, "base", base)
-        _set(self, "crossings", crossings)
-        _set(self, "sequences", sequences)
 
     def validate(self) -> list[str]:
         # Piece ids pair an edge id with a piece index (`_piece_id`), which

@@ -1,11 +1,14 @@
 import copy
+import importlib
 import pickle
+import pkgutil
 from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anglecover
 from anglecover.core import (
     Angle,
     AngleAssignment,
@@ -19,6 +22,7 @@ from anglecover.core import (
     check_cover,
     trace_faces,
     validate_graph,
+    _Record,
 )
 from anglecover.fileio import parse_instance, serialize_instance
 from conftest import (
@@ -187,6 +191,62 @@ def test_records_hash_and_show_their_fields():
         == "CoverCheck(valid=False, uncovered_edges=(1,),"
         " violations=('vertex 0: 2 angles exceed limit 1',))"
     )
+
+
+def _record_classes():
+    """Every `_Record` subclass in the package, its modules all imported."""
+    for mod in pkgutil.iter_modules(anglecover.__path__):
+        importlib.import_module(f"anglecover.{mod.name}")
+    found, todo = [], [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return sorted(found, key=lambda c: (c.__module__, c.__qualname__))
+
+
+# Constructor arguments beyond `_fields`, and the defaults of the trailing
+# arguments, per record; a record missing here takes exactly its fields.
+_EXTRA_ARGS = {"FaceData": ("index",)}
+_DEFAULTS = {
+    "Certificate": (None, 0, 0, 0, 0, 0),
+    "CoverSpec": (1, 2),
+    "DensityReport": (None,),
+    "NamedInstance": (None, None, None),
+}
+
+
+@pytest.mark.parametrize("cls", _record_classes(), ids=lambda c: c.__qualname__)
+def test_record_constructor_contract(cls):
+    names = cls._fields + _EXTRA_ARGS.get(cls.__name__, ())
+    defaults = _DEFAULTS.get(cls.__name__, ())
+    values = [i + 2 for i in range(len(names))]  # valid for CoverSpec too
+    required = len(names) - len(defaults)
+
+    def assert_same(r, s):
+        assert type(r) is type(s) is cls and repr(r) == repr(s)
+        assert [getattr(r, n) for n in names] == [getattr(s, n) for n in names]
+        if cls.__eq__ is not object.__eq__:  # FaceData compares by identity
+            assert r == s and hash(r) == hash(s)
+
+    full = cls(*values)
+    assert_same(full, cls(**dict(zip(names, values))))
+    assert_same(full, cls(*values[:1], **dict(zip(names[1:], values[1:]))))
+    short = cls(*values[:required])
+    assert [getattr(short, n) for n in names[required:]] == list(defaults)
+    assert_same(short, cls(*values[:required], *defaults))
+    assert_same(short, cls(**dict(zip(names[:required], values))))
+    if required:
+        with pytest.raises(TypeError):
+            cls(*values[: required - 1])
+        with pytest.raises(TypeError):
+            cls(**dict(zip(names[1:required], values[1:])))
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+    with pytest.raises(TypeError):
+        cls(*values[:required], no_such_field=0)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: 0})
 
 
 def test_effective_width_small_degree():

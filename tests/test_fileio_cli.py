@@ -575,3 +575,16 @@ def test_cli_solve_large_search_inputs(tmp_path, capsys, gen, algo):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("angle ")
+
+
+def test_cli_reduce_witness_budget_exhausted_is_indeterminate(
+    tmp_path, capsys, monkeypatch
+):
+    w = inst_file(tmp_path, "fig2a")
+    tri = write(tmp_path, "tri.inst", "e 0 0 1\ne 1 1 2\ne 2 2 0\n")
+    argv = ["reduce", "witness", "--angles", "1", "--witness", w, tri]
+    assert main([*argv[:2], "--budget", "1", *argv[2:]]) == 3
+    assert capsys.readouterr() == ("", "INDETERMINATE: search budget exhausted\n")
+    monkeypatch.setenv("ANGLESET_BUDGET", "1")
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "INDETERMINATE: search budget exhausted\n")
