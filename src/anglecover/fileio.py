@@ -5,7 +5,8 @@ per edge; `rot <v>: <eid> ...` per vertex (a self-loop id appears twice);
 topological graphs add `x <xid> <e> <f> <bit>` crossing records and
 `seq <e>: <xid> ...` per crossed edge.  Canonical serialization lists
 vertices, then edges, then rotations (then crossings and sequences),
-ascending ids, single spaces, newline-terminated.
+ascending ids, single spaces, newline-terminated; an empty graph is the
+empty string.
 
 CoverFile: `angle <v> <start-slot> <width>` lines ascending by (v, start).
 
@@ -114,7 +115,7 @@ def serialize_instance(g: RotationGraph | TopologicalGraph) -> str:
         for e in sorted(tg.sequences):
             seq = " ".join(str(x) for x in tg.sequences[e])
             lines.append(f"seq {e}: {seq}".rstrip())
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def serialize_multigraph(m: Multigraph) -> str:
@@ -123,7 +124,7 @@ def serialize_multigraph(m: Multigraph) -> str:
     for e in sorted(m.edges):
         u, v = m.edges[e]
         lines.append(f"e {e} {u} {v}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def instance_to_multigraph(g: RotationGraph) -> Multigraph:

@@ -3,8 +3,10 @@ of its 2-blowup into two isomorphic planar layers.
 
 Layer H keeps all copy-1 edges and, per source vertex v, cross edges from
 v's second copy into the angle covered by v; the mirrored relabelling is
-the second layer.  Planarity of the constructed rotation is always
-verified by face tracing, never assumed.
+the second layer.  The layers are built from per-dart lists over the
+source graph's dart index (`core.DartIndex`), with no rescan of its
+rotation.  Planarity of the constructed rotation is always verified by
+face tracing, never assumed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .core import (
     trace_faces,
     _Record,
 )
-from .transform import blowup2, blowup_vertex
+from .transform import blowup2
 
 
 class BlowupDecomposition(_Record):
@@ -32,20 +34,18 @@ class BlowupDecomposition(_Record):
     iso: dict[int, int]  # copy swap: 2v <-> 2v+1
 
 
-def _angle_edges(g: RotationGraph, asg: AngleAssignment, v: int):
-    """The edges covered by v's angle, in arc order (empty if none)."""
-    angs = asg.angles.get(v, ())
-    if not angs:
-        return []
-    (ang,) = angs
-    d = g.deg(v)
-    return [g.rotation[v][s] for s in ang.slots(d)]
-
-
 def blowup_decomposition(
     g: RotationGraph, asg: AngleAssignment
 ) -> BlowupDecomposition:
-    """Build the two-layer decomposition from a cover of a plane graph."""
+    """Build the two-layer decomposition from a cover of a plane graph.
+
+    Copy 1 of source vertex v is 2v and copy 2 is 2v + 1
+    (`transform.blowup_vertex`).  Edge i of H is copy 1 of the i-th
+    source edge in ascending id order, and edge m + i (m source edges) its
+    one cross edge, from copy 2 of a vertex whose angle covers it to copy
+    1 of the other end.  A source edge covered at both ends keeps the
+    cross edge of its smaller endpoint.
+    """
     if not g.is_simple():
         raise UnsupportedInputError("decomposition needs a simple graph")
     if trace_faces(g).genus != 0:
@@ -54,71 +54,43 @@ def blowup_decomposition(
     if not chk.valid:
         raise UnsupportedInputError(f"assignment is not a cover: {chk}")
 
-    # Which covered edges each vertex contributes a cross edge for; a
-    # doubly-covered source edge keeps only the cross edge from its
-    # lexicographically smaller endpoint's copy 2.
-    coverers: dict[int, list[int]] = {e: [] for e in g.edges}
-    arc: dict[int, list[int]] = {}
-    for v in sorted(g.vertices):
-        arc[v] = _angle_edges(g, asg, v)
-        for e in arc[v]:
-            coverers[e].append(v)
-    keep: dict[int, int] = {}  # source edge -> vertex whose copy 2 hosts it
-    for e, vs in coverers.items():
-        keep[e] = min(vs)
+    ix = g.dart_index
+    first, vertex, edge, twin = ix.first, ix.vertex, ix.edge, ix.twin
+    order = sorted(g.edges)
+    m = len(order)
+    base = dict(zip(order, range(m)))  # source edge -> its copy-1 edge id
+    copy1 = [base[e] for e in edge]  # per dart, its edge's copy-1 id
+    # Per dart, the cross edge next to it at its vertex's copy 1.  The
+    # cross edge kept at dart d of w reaches copy 1 of u along twin[d]:
+    # just before it when d opens w's arc (w's copy 2 lies on the later
+    # side at w, hence on the earlier side seen from u), else just after.
+    before = [None] * len(twin)
+    after = [None] * len(twin)
+    keep: dict[int, int] = {}  # source edge -> first arc dart covering it
+    hosted = {}  # vertex -> the darts, in arc order, whose cross edge it keeps
+    for v, k in zip(first, ix.degree):
+        angs = asg.angles.get(v)
+        arc = [first[v] + s for s in angs[0].slots(k)] if angs else []
+        hosted[v] = [d for d in arc if keep.setdefault(edge[d], d) == d]
+        for d in hosted[v]:
+            side = before if d == arc[0] else after
+            assert side[twin[d]] is None
+            side[twin[d]] = m + copy1[d]
 
-    edges: dict[int, tuple[int, int]] = {}
-    next_id = 0
-    base_edge: dict[int, int] = {}  # source edge -> copy-1 edge id
-    for e in sorted(g.edges):
-        u, v = g.edges[e]
-        edges[next_id] = (blowup_vertex(u, 1), blowup_vertex(v, 1))
-        base_edge[e] = next_id
-        next_id += 1
-    cross_edge: dict[int, int] = {}  # source edge -> its one cross edge
-    for e in sorted(g.edges):
-        v = keep[e]
-        u = g.edges[e][0] + g.edges[e][1] - v
-        edges[next_id] = (blowup_vertex(v, 2), blowup_vertex(u, 1))
-        cross_edge[e] = next_id
-        next_id += 1
-
-    # Rotations.  Copy 2 of v lists its kept cross edges in arc order.
-    # At copy 1 of u, a cross edge arriving along source edge (w, u) sits
-    # immediately next to the slot of that edge: before it when (w, u) is
-    # the first member of w's arc (w's second copy lies on the later side
-    # at w, hence on the earlier side seen from u), after it when it is a
-    # later member.
-    before: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-    after: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-    for w in sorted(g.vertices):
-        for idx, e in enumerate(arc[w]):
-            if keep[e] != w:
-                continue
-            ends = g.ends(e)
-            u, slot = ends[1] if ends[0][0] == w else ends[0]
-            side = before[u] if idx == 0 else after[u]
-            assert slot not in side
-            side[slot] = cross_edge[e]
-
+    edges = {i: (2 * u, 2 * w) for i, (u, w) in enumerate(map(g.edges.get, order))}
+    for i, d in enumerate(map(keep.get, order), m):
+        edges[i] = (2 * vertex[d] + 1, 2 * vertex[twin[d]])
     rotation: dict[int, tuple[int, ...]] = {}
-    for v in sorted(g.vertices):
-        rot1 = []
-        for s, e in enumerate(g.rotation.get(v, ())):
-            if s in before[v]:
-                rot1.append(before[v][s])
-            rot1.append(base_edge[e])
-            if s in after[v]:
-                rot1.append(after[v][s])
-        rotation[blowup_vertex(v, 1)] = tuple(rot1)
-        rotation[blowup_vertex(v, 2)] = tuple(
-            cross_edge[e] for e in arc[v] if keep[e] == v
-        )
-
-    vertices = tuple(
-        blowup_vertex(v, c) for v in sorted(g.vertices) for c in (1, 2)
-    )
-    h = RotationGraph.build(vertices, edges, rotation)
+    for v, k in zip(first, ix.degree):
+        rotation[2 * v] = tuple([
+            x
+            for d in range(first[v], first[v] + k)
+            for x in (before[d], copy1[d], after[d])
+            if x is not None
+        ])
+        rotation[2 * v + 1] = tuple([m + copy1[d] for d in hosted[v]])
+    vertices = tuple(rotation)
+    h = RotationGraph(vertices, edges, rotation)
     if trace_faces(h).genus != 0:
         raise AssertionError(
             "constructed layer is not plane; cross-edge side rule failed"
@@ -126,11 +98,11 @@ def blowup_decomposition(
 
     iso = {}
     for v in g.vertices:
-        iso[blowup_vertex(v, 1)] = blowup_vertex(v, 2)
-        iso[blowup_vertex(v, 2)] = blowup_vertex(v, 1)
-    t_edges = {e: (iso[u], iso[v]) for e, (u, v) in edges.items()}
+        iso[2 * v] = 2 * v + 1
+        iso[2 * v + 1] = 2 * v
+    t_edges = {e: (iso[u], iso[w]) for e, (u, w) in edges.items()}
     t_rot = {iso[v]: rot for v, rot in rotation.items()}
-    h_tilde = RotationGraph.build(vertices, t_edges, t_rot)
+    h_tilde = RotationGraph(vertices, t_edges, t_rot)
     if trace_faces(h_tilde).genus != 0:
         raise AssertionError("mirrored layer is not plane")
     return BlowupDecomposition(h, h_tilde, iso)
@@ -148,32 +120,26 @@ def verify_decomposition(
     """Independent re-check: the layers are isomorphic under the copy
     swap, each is genus 0, and their edge multisets union to the
     2-blowup."""
+
+    def end_pairs(edges, relabel=None) -> Counter:
+        """Each edge as its (min, max) end pair, its ends relabelled first."""
+        ends = edges.values()
+        if relabel is not None:
+            ends = [(relabel[u], relabel[v]) for u, v in ends]
+        return Counter([(u, v) if u < v else (v, u) for u, v in ends])
+
     issues = []
-    mapped = Counter(
-        frozenset((d.iso[u], d.iso[v])) if u != v else frozenset((d.iso[u],))
-        for u, v in d.h.edges.values()
-    )
-    actual = Counter(
-        frozenset((u, v)) for u, v in d.h_tilde.edges.values()
-    )
-    if mapped != actual:
+    if end_pairs(d.h.edges, d.iso) != end_pairs(d.h_tilde.edges):
         issues.append("iso does not map layer H onto layer H-tilde")
     for name, layer in (("H", d.h), ("H-tilde", d.h_tilde)):
         genus = trace_faces(layer).genus
         if genus != 0:
             issues.append(f"layer {name} has genus {genus}")
-    union = Counter()
-    for layer in (d.h, d.h_tilde):
-        for u, v in layer.edges.values():
-            union[frozenset((u, v))] += 1
-    want = Counter(
-        frozenset((u, v)) for u, v in blowup2(g).edges.values()
-    )
+    union = end_pairs(d.h.edges) + end_pairs(d.h_tilde.edges)
+    want = end_pairs(blowup2(g).edges)
     if union != want:
-        missing = sorted(
-            tuple(sorted(k)) for k in (want - union)
-        )
-        excess = sorted(tuple(sorted(k)) for k in (union - want))
+        missing = sorted(want - union)
+        excess = sorted(union - want)
         if missing:
             issues.append(f"union is missing edges {missing}")
         if excess:

@@ -9,7 +9,7 @@ the tests check it against.
 
 from __future__ import annotations
 
-from .core import RotationGraph, UnsupportedInputError, _Record
+from .core import RotationGraph, UnsupportedInputError, _Record, validate_graph
 
 
 class Multigraph(_Record):
@@ -58,9 +58,11 @@ class TopologicalGraph(_Record):
     sequences: dict[int, tuple[int, ...]]
 
     def validate(self) -> list[str]:
+        """The base's `validate_graph` messages, then the crossing data's."""
+        issues = validate_graph(self.base)
         # Piece ids pair an edge id with a piece index (`_piece_id`), which
         # is injective only on non-negative edge ids.
-        issues = [f"edge {e}: negative edge id" for e in sorted(self.base.edges) if e < 0]
+        issues += [f"edge {e}: negative edge id" for e in sorted(self.base.edges) if e < 0]
         seen: dict[int, int] = {x: 0 for x in self.crossings}
         for e, seq in self.sequences.items():
             if e not in self.base.edges:

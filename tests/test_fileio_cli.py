@@ -23,6 +23,7 @@ from anglecover.fileio import (
     parse_instance,
     serialize_cover,
     serialize_instance,
+    serialize_multigraph,
 )
 from anglecover.instances import (
     gen_random_outerplane,
@@ -31,7 +32,7 @@ from anglecover.instances import (
     instance_names,
 )
 from anglecover.thickness import DecompositionCheck
-from anglecover.transform import TopologicalGraph
+from anglecover.transform import Multigraph, TopologicalGraph
 from conftest import K4_PLANE_ROTATION, complete_rotation_graph, rotation_graph
 
 
@@ -111,6 +112,16 @@ def test_cover_round_trip():
     text = serialize_cover(asg)
     assert text == "angle 0 0 2\nangle 2 1 2\n"
     assert serialize_cover(parse_cover(text)) == text
+
+
+def test_empty_graph_serializes_as_the_empty_string(tmp_path, capsys):
+    assert serialize_instance(parse_instance("")) == ""
+    assert serialize_multigraph(Multigraph((), {})) == ""
+    f = write(tmp_path, "empty.inst", "")
+    assert main(["reduce", "3col", f]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["decompose", "--verify", f]) == 0
+    assert capsys.readouterr().out == "# layer 1\n# layer 2\n"
 
 
 def test_parse_cover_rejects_garbage():
@@ -510,6 +521,23 @@ def test_cli_planarize_rejects_negative_edge_id(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == ["error: edge -1: negative edge id"]
+
+
+# Each base rotation is invalid; every other command rejects the first.
+BAD_ROTATION = [
+    ("e 0 0 1\ne 1 1 2\nrot 1: 1 0 1\n",
+     "edge 1=(1,2) occurs 2 times in rotation of 1, expected 1"),
+    (CROSSED + "rot 4: 0\n", "vertex 4: rotation lists non-incident edge 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_ROTATION, ids=["plain", "crossed"])
+def test_cli_planarize_rejects_an_invalid_rotation(tmp_path, capsys, text, message):
+    f = write(tmp_path, "r.inst", text)
+    assert main(["planarize", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

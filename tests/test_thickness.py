@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 
+from anglecover.cli import main
 from anglecover.core import RotationGraph, UnsupportedInputError, trace_faces
-from anglecover.instances import gen_random_plane_deg4
-from anglecover.solve import solve_deg4
+from anglecover.fileio import serialize_instance
+from anglecover.instances import gen_random_plane_deg4, get_instance
+from anglecover.solve import oracle_solve, solve_deg4
 from anglecover.thickness import (
     BlowupDecomposition,
     blowup_decomposition,
@@ -61,7 +65,6 @@ def test_random_plane_graphs_decompose():
 
 def test_rejects_nonplane_input():
     from conftest import complete_rotation_graph
-    from anglecover.solve import oracle_solve
 
     g = complete_rotation_graph(5)
     cert = oracle_solve(g)
@@ -105,3 +108,95 @@ def test_verify_flags_broken_isomorphism():
     chk = verify_decomposition(g, BlowupDecomposition(d.h, d.h_tilde, bad_iso))
     assert not chk.valid
     assert any("iso" in v for v in chk.violations)
+
+
+def _swap_slots(layer: RotationGraph, v: int, i: int, j: int) -> RotationGraph:
+    rot = dict(layer.rotation)
+    slots = list(rot[v])
+    slots[i], slots[j] = slots[j], slots[i]
+    rot[v] = slots
+    return RotationGraph.build(layer.vertices, layer.edges, rot)
+
+
+def test_verify_flags_positive_genus():
+    g = square()
+    d = blowup_decomposition(g, solved(g))
+    v = next(v for v in d.h.vertices if d.h.deg(v) >= 3)
+    h = _swap_slots(d.h, v, 0, 1)  # the same edges, another embedding
+    genus = trace_faces(h).genus
+    assert genus > 0
+    chk = verify_decomposition(g, BlowupDecomposition(h, d.h_tilde, d.iso))
+    assert chk.violations == (f"layer H has genus {genus}",)
+
+
+def _double_edge(layer: RotationGraph, eid: int) -> RotationGraph:
+    """The layer plus a parallel copy of edge eid, placed beside it at both
+    ends so that the two bound a new face and the genus stays the same."""
+    new = max(layer.edges) + 1
+    u, w = layer.edges[eid]
+    rot = dict(layer.rotation)
+    i = rot[u].index(eid) + 1
+    rot[u] = rot[u][:i] + (new,) + rot[u][i:]
+    j = rot[w].index(eid)
+    rot[w] = rot[w][:j] + (new,) + rot[w][j:]
+    return RotationGraph.build(layer.vertices, {**layer.edges, new: (u, w)}, rot)
+
+
+def test_verify_flags_excess_edge():
+    g = square()
+    d = blowup_decomposition(g, solved(g))
+    h, h_tilde = _double_edge(d.h, 0), _double_edge(d.h_tilde, 0)
+    assert h_tilde.edges[max(h_tilde.edges)] == tuple(d.iso[x] for x in h.edges[0])
+    chk = verify_decomposition(g, BlowupDecomposition(h, h_tilde, d.iso))
+    excess = sorted(tuple(sorted(layer.edges[0])) for layer in (h, h_tilde))
+    assert chk.violations == (f"union has excess edges {excess}",)
+
+
+def _covered(n, seed, solver):
+    g = gen_random_plane_deg4(n, seed)
+    return g, solver(g).assignment
+
+
+def _fig1():
+    inst = get_instance("fig1")
+    return inst.graph, inst.cover
+
+
+# sha256 of serialize_instance(d.h) + serialize_instance(d.h_tilde).  The
+# layers' edge ids and rotations follow from the cover alone, so a change
+# to how they are built must leave these bytes alone.  The oracle's cover
+# of the last graph has an arc that wraps past slot 0.
+PINNED_LAYERS = [
+    ("deg4(30, 1)", lambda: _covered(30, 1, solve_deg4),
+     "12b36f49372b7381a039c21ff199ac4b1897276b63faf6463b30912c9181c559"),
+    ("deg4(200, 2)", lambda: _covered(200, 2, solve_deg4),
+     "cbd49073846c5252c75ae7f5cd6b1da72c14b97debd5382d108bcb11f9f0171a"),
+    ("deg4(2000, 3)", lambda: _covered(2000, 3, solve_deg4),
+     "354217441a913dd0e908e60f716cc01fa0eaf37dcbf2a135a3d202799563ffc9"),
+    ("fig1", _fig1,
+     "5a463424af37c8fdbff84e8a005de36d9302416e6edc92126612f976babf7f95"),
+    ("oracle(15, 4)", lambda: _covered(15, 4, oracle_solve),
+     "11e654c5e62a4c8a642f63b365fb6437f39d73309594a79a49bb1040d576accc"),
+]
+
+
+@pytest.mark.parametrize(
+    "covered, digest", [p[1:] for p in PINNED_LAYERS], ids=[p[0] for p in PINNED_LAYERS]
+)
+def test_layer_bytes_are_pinned(covered, digest):
+    g, asg = covered()
+    d = blowup_decomposition(g, asg)
+    assert verify_decomposition(g, d).valid
+    text = serialize_instance(d.h) + serialize_instance(d.h_tilde)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_cli_decompose_output_is_pinned(tmp_path, capsys):
+    f = tmp_path / "fig1.inst"
+    f.write_text(serialize_instance(get_instance("fig1").graph))
+    assert main(["decompose", "--verify", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4b50a5ff052b851a816d1b348b2d874ed01bd9ff9b1ec6743224edd360efefe3"
+    )
