@@ -97,11 +97,12 @@ def _solve(
     )
 
     if algo == "auto":
+        degrees = g.dart_index.degree  # indexed by `_load_graph`'s validation
         if spec != BASIC_SPEC:
             algo = "oracle"
-        elif g.max_degree() <= 4:
+        elif max(degrees, default=0) <= 4:
             algo = "deg4"
-        elif all(g.deg(v) != 3 for v in g.vertices):
+        elif 3 not in degrees:
             algo = "2sat"
         else:
             algo = "oracle"

@@ -19,7 +19,7 @@ The records here and in the other modules are plain classes on one base,
 `dataclasses` would add its own imports (`inspect`, `ast`) and generated
 code for each record to that start-up.  A record lists its fields and the
 defaults of its trailing ones, and `_Record`'s one constructor sets them;
-only `Angle`, `CoverSpec` and `FaceData` write their own, each saying why.
+only `Angle` and `CoverSpec` write their own, each saying why.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ class _Record:
     optional fields.  The constructor takes the fields by position or by
     keyword; a missing, surplus, repeated or unknown argument raises
     TypeError.  A record writes its own `__init__` only to validate its
-    arguments, to set an attribute that is not a field, or to be built
-    faster where a solver builds one per vertex.  Two records are equal
-    when they are of one class and `_key`, the field values, is equal; the
-    hash is that of `_key`, and the repr shows each field.  Assigning or
-    deleting an attribute raises AttributeError.
+    arguments or to be built faster where a solver builds one per vertex.
+    Two records are equal when they are of one class and `_key`, the field
+    values, is equal; the hash is that of `_key`, and the repr shows each
+    field.  Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -597,32 +596,12 @@ def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> Cove
 
 
 class FaceData(_Record):
-    """The faces of a combinatorial map and its genus.  `trace_faces`
-    only counts the faces; their (vertex, slot) cycles are built from the
-    dart index when `faces` is first read.  Compared by identity; the
-    repr leaves out the index."""
+    """The face count of a combinatorial map and its genus.  The faces
+    themselves are walked from the dart index by `_face_cycles`."""
 
-    _fields = ("num_faces", "genus")
+    __slots__ = _fields = ("num_faces", "genus")
     num_faces: int
     genus: int
-    index: DartIndex
-
-    # Its own constructor: it also sets `index`, which is not a field.
-    def __init__(self, num_faces, genus, index):
-        _set(self, "num_faces", num_faces)
-        _set(self, "genus", genus)
-        _set(self, "index", index)
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    @cached_property
-    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        first, vertex = self.index.first, self.index.vertex
-        return tuple(
-            tuple((vertex[d], d - first[vertex[d]]) for d in cycle)
-            for cycle in _face_cycles(self.index)
-        )
 
     @property
     def is_plane(self) -> bool:
@@ -659,6 +638,7 @@ def trace_faces(g: RotationGraph) -> FaceData:
     with one face.  One walk counts both: it traces the faces of one
     component at a time, each next face from a dart across an edge of a
     face already traced, so a walk that starts afresh is a new component.
+    It keeps no face; `_face_cycles` walks them where a caller needs one.
     """
     ix = g.dart_index
     first, vertex, twin = ix.first, ix.vertex, ix.twin
@@ -687,4 +667,4 @@ def trace_faces(g: RotationGraph) -> FaceData:
     c += isolated
     defect = 2 * c - len(g.vertices) + len(g.edges) - (f + isolated)
     assert defect % 2 == 0, "face tracing produced an odd Euler defect"
-    return FaceData(f, defect // 2, ix)
+    return FaceData(f, defect // 2)

@@ -31,6 +31,7 @@ from .core import (
     UnsupportedInputError,
     coverable_slots,
     trace_faces,
+    _face_cycles,
 )
 
 
@@ -617,14 +618,15 @@ def solve_outerplane(g: RotationGraph, budget: int | None = None) -> Certificate
     """Decide an outerplane graph with the exact oracle.
 
     Checks the embedding first: it must be plane, with one face holding
-    every non-isolated vertex; otherwise UnsupportedInputError.
+    every non-isolated vertex; otherwise UnsupportedInputError.  The face
+    walk stops at the first face whose darts reach all of them.
     """
-    faces = trace_faces(g)
-    non_isolated = {v for v in g.vertices if g.deg(v) > 0}
-    on_one_face = any(
-        non_isolated <= {v for v, _ in face} for face in faces.faces
-    ) or not non_isolated
-    if not faces.is_plane or not on_one_face:
-        raise UnsupportedInputError("input is not outerplane")
-    return oracle_solve(g, BASIC_SPEC, budget)
-
+    if trace_faces(g).is_plane:
+        ix = g.dart_index
+        vertex = ix.vertex
+        want = len(ix.degree) - ix.degree.count(0)  # the non-isolated vertices
+        if not want or any(
+            len(set(map(vertex.__getitem__, face))) == want for face in _face_cycles(ix)
+        ):
+            return oracle_solve(g, BASIC_SPEC, budget)
+    raise UnsupportedInputError("input is not outerplane")

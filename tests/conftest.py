@@ -54,6 +54,34 @@ def complete_graph(n):
     return multigraph(n, list(itertools.combinations(range(n), 2)))
 
 
+def connected(g):
+    """Whether g (with `vertices` and `edges`) is connected; the empty
+    graph is."""
+    if not g.vertices:
+        return True
+    adj = {v: [] for v in g.vertices}
+    for u, v in g.edges.values():
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
+
+
+def connected_simple_graphs(n):
+    """Every connected simple graph on the labelled vertices 0..n-1."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(2 ** len(pairs)):
+        g = multigraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        if connected(g):
+            yield g
+
+
 def wheel_graph(n):
     """The wheel W_n: a rim cycle on vertices 0..n-1 and hub n joined to
     every rim vertex."""

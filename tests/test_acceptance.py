@@ -38,6 +38,8 @@ from conftest import (
     check_3colouring,
     complete_graph,
     complete_rotation_graph,
+    connected,
+    connected_simple_graphs,
     min_allocation_bruteforce,
     multigraph,
     random_fixed_degree_graph,
@@ -46,28 +48,11 @@ from conftest import (
 )
 
 
-def _connected(g):
-    if not g.vertices:
-        return True
-    adj = {v: [] for v in g.vertices}
-    for u, v in g.edges.values():
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
-
-
 def test_criterion_01_deg4_universality_and_scaling():
     rng = random.Random(1)
     for seed in range(500):
         g = gen_random_bounded_degree(rng.randint(2, 300), 4, seed)
-        assert _connected(g)
+        assert connected(g)
         cert = solve_deg4(g)
         assert cert.is_yes, seed
         assert check_cover(g, cert.assignment, BASIC_SPEC).valid, seed
@@ -144,40 +129,16 @@ def test_criterion_04_planarization_preserves_verdict():
         assert before == after, (trial, before, after)
 
 
-def _connected_simple_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(2 ** len(pairs)):
-        chosen = [p for i, p in enumerate(pairs) if bits >> i & 1]
-        g = multigraph(n, chosen)
-        if _mg_connected(g):
-            yield g
-
-
-def _mg_connected(g):
-    adj = {v: [] for v in g.vertices}
-    for u, v in g.edges.values():
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
-
-
 def test_criterion_05_three_colouring_reduction():
     cases = []
     for n in range(1, 5):
-        cases.extend(_connected_simple_graphs(n))
+        cases.extend(connected_simple_graphs(n))
     rng = random.Random(5)
     pairs = list(itertools.combinations(range(5), 2))
     while sum(1 for g in cases if len(g.vertices) == 5) < 30:
         chosen = [p for p in pairs if rng.random() < 0.5]
         g = multigraph(5, chosen)
-        if _mg_connected(g):
+        if connected(g):
             cases.append(g)
     for g in cases:
         h, gmap = reduce_3col(g)

@@ -23,6 +23,7 @@ from anglecover.core import (
     trace_faces,
     validate_graph,
     _Record,
+    _face_cycles,
 )
 from anglecover.fileio import parse_instance, serialize_instance
 from conftest import (
@@ -205,9 +206,8 @@ def _record_classes():
     return sorted(found, key=lambda c: (c.__module__, c.__qualname__))
 
 
-# Constructor arguments beyond `_fields`, and the defaults of the trailing
-# arguments, per record; a record missing here takes exactly its fields.
-_EXTRA_ARGS = {"FaceData": ("index",)}
+# The defaults of the trailing fields, per record; a record missing here
+# has no default.
 _DEFAULTS = {
     "Certificate": (None, 0, 0, 0, 0, 0),
     "CoverSpec": (1, 2),
@@ -218,7 +218,7 @@ _DEFAULTS = {
 
 @pytest.mark.parametrize("cls", _record_classes(), ids=lambda c: c.__qualname__)
 def test_record_constructor_contract(cls):
-    names = cls._fields + _EXTRA_ARGS.get(cls.__name__, ())
+    names = cls._fields
     defaults = _DEFAULTS.get(cls.__name__, ())
     values = [i + 2 for i in range(len(names))]  # valid for CoverSpec too
     required = len(names) - len(defaults)
@@ -226,8 +226,7 @@ def test_record_constructor_contract(cls):
     def assert_same(r, s):
         assert type(r) is type(s) is cls and repr(r) == repr(s)
         assert [getattr(r, n) for n in names] == [getattr(s, n) for n in names]
-        if cls.__eq__ is not object.__eq__:  # FaceData compares by identity
-            assert r == s and hash(r) == hash(s)
+        assert r == s and hash(r) == hash(s)
 
     full = cls(*values)
     assert_same(full, cls(**dict(zip(names, values))))
@@ -308,8 +307,12 @@ def test_ends_matches_a_rotation_scan(g):
 @settings(max_examples=200, deadline=None)
 @given(rotation_graphs())
 def test_trace_faces_survives_reserialization(g):
+    def faces(g):  # each face walk as its (vertex, slot) darts
+        ix = g.dart_index
+        return [[(ix.vertex[d], ix.slot(d)) for d in f] for f in _face_cycles(ix)]
+
     copy = parse_instance(serialize_instance(g))
-    assert trace_faces(copy).faces == trace_faces(g).faces
+    assert faces(copy) == faces(g)
     assert trace_faces(copy).genus == trace_faces(g).genus
 
 

@@ -4,7 +4,13 @@ import time
 
 import pytest
 
-from anglecover.core import BASIC_SPEC, check_cover, trace_faces, validate_graph
+from anglecover.core import (
+    BASIC_SPEC,
+    check_cover,
+    trace_faces,
+    validate_graph,
+    _face_cycles,
+)
 from anglecover.fileio import serialize_instance
 from anglecover.instances import (
     FIG3_ORIENTATION,
@@ -141,10 +147,11 @@ def test_gen_outerplane_one_face_has_all_vertices():
     for seed in range(5):
         g = gen_random_outerplane(10, seed)
         assert validate_graph(g) == []
-        fd = trace_faces(g)
-        assert fd.genus == 0
+        assert trace_faces(g).genus == 0
+        vertex = g.dart_index.vertex
         assert any(
-            {v for v, _ in face} == set(g.vertices) for face in fd.faces
+            {vertex[d] for d in face} == set(g.vertices)
+            for face in _face_cycles(g.dart_index)
         )
 
 

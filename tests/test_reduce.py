@@ -28,6 +28,7 @@ from conftest import (
     brute_3col,
     check_3colouring,
     complete_graph,
+    connected_simple_graphs,
     multigraph,
     random_fixed_degree_graph,
     rotation_graph,
@@ -248,6 +249,42 @@ def test_two_angle_reductions_are_equivalences_on_k3_and_k4(reduce):
     assert cert.is_yes
     assert check_cover(h, cert.assignment, spec).valid
     assert oracle_solve(reduce(complete_graph(4)), spec).is_no
+
+
+def _equivalence_sources():
+    """Every connected source with at most 4 vertices (44), then 25 random
+    5-vertex sources: rng seed 6, each pair an edge with probability 0.6
+    (21 are 3-colourable)."""
+    sources = [g for n in range(1, 5) for g in connected_simple_graphs(n)]
+    rng = random.Random(6)
+    pairs = list(itertools.combinations(range(5), 2))
+    for _ in range(25):
+        sources.append(multigraph(5, [p for p in pairs if rng.random() < 0.6]))
+    return sources
+
+
+@pytest.mark.parametrize(
+    "reduce, spec",
+    [
+        (lambda g: reduce_multi(g, 2), CoverSpec(2, 2)),
+        (lambda g: reduce_multi(g, 3), CoverSpec(3, 2)),
+        (reduce_2angle_deg8, CoverSpec(2, 2)),
+    ],
+    ids=["multi-a2", "multi-a3", "2angle_deg8"],
+)
+def test_reduction_verdict_is_brute_3col(reduce, spec):
+    sources = _equivalence_sources()
+    want = [brute_3col(g) for g in sources]
+    assert len(sources) == 69 and want[44:].count("YES") == 21
+    failures = []
+    for g, expected in zip(sources, want):
+        h = reduce(g)
+        cert = oracle_solve(h, spec)
+        if cert.verdict != expected:
+            failures.append((sorted(g.edges.values()), cert.verdict, expected))
+        elif cert.is_yes and not check_cover(h, cert.assignment, spec).valid:
+            failures.append((sorted(g.edges.values()), "invalid cover", expected))
+    assert not failures, failures
 
 
 def test_brute_3col_known_values():

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anglecover.core import (
     BASIC_SPEC,
@@ -245,6 +246,81 @@ def test_solve_outerplane_rejects_non_outerplane(rotation):
     assert trace_faces(g).is_plane == (rotation is not None)
     with pytest.raises(UnsupportedInputError):
         solve_outerplane(g)
+
+
+@st.composite
+def component_graphs(draw):
+    """Rotation graphs of up to three blocks of vertices, each with random
+    edges, loops and parallel edges among its own vertices, plus isolated
+    vertices; random rotations, vertices listed out of order."""
+    vertices, edges = [], {}
+    for _ in range(draw(st.integers(1, 3))):
+        block = range(len(vertices), len(vertices) + draw(st.integers(1, 4)))
+        vertices += block
+        for u, w in draw(st.lists(st.tuples(st.sampled_from(block),
+                                            st.sampled_from(block)), max_size=5)):
+            edges[len(edges)] = (u, w)
+    vertices += range(len(vertices), len(vertices) + draw(st.integers(0, 2)))
+    incident = {v: [] for v in vertices}
+    for e, (u, w) in edges.items():
+        incident[u].append(e)
+        incident[w].append(e)
+    rotation = {v: draw(st.permutations(slots)) for v, slots in incident.items()}
+    return RotationGraph.build(draw(st.permutations(vertices)), edges, rotation)
+
+
+def outerplane_by_rotation(g):
+    """Whether g is plane with one face holding every non-isolated vertex,
+    from face walks over `g.rotation` and Euler's formula summed over the
+    components (an isolated vertex is a component with one face)."""
+    rot = {v: g.rotation.get(v, ()) for v in g.vertices}
+    ends = {}  # edge -> its two (vertex, slot) ends
+    for v, r in rot.items():
+        for s, e in enumerate(r):
+            ends.setdefault(e, []).append((v, s))
+    faces, seen = [], set()
+    for dart in ends.values():
+        for v, s in dart:
+            face = set()
+            while (v, s) not in seen:
+                seen.add((v, s))
+                face.add(v)
+                a, b = ends[rot[v][s]]
+                v, t = b if a == (v, s) else a
+                s = (t + 1) % len(rot[v])
+            if face:
+                faces.append(face)
+    label = {v: v for v in g.vertices}
+
+    def root(v):
+        while label[v] != v:
+            v = label[v]
+        return v
+
+    for u, w in g.edges.values():
+        label[root(u)] = root(w)
+    components = len({root(v) for v in g.vertices})
+    isolated = [v for v in g.vertices if not rot[v]]
+    euler = 2 * components - len(g.vertices) + len(g.edges) - len(faces) - len(isolated)
+    non_isolated = set(g.vertices) - set(isolated)
+    return euler == 0 and (
+        not non_isolated or any(non_isolated <= face for face in faces)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_graphs())
+def test_solve_outerplane_rejects_exactly_the_non_outerplane(g):
+    try:
+        cert = solve_outerplane(g)
+    except UnsupportedInputError as err:
+        assert str(err) == "input is not outerplane"
+        assert not outerplane_by_rotation(g)
+    else:
+        assert outerplane_by_rotation(g)
+        assert cert.verdict in ("YES", "NO")
+        if cert.is_yes:
+            assert check_cover(g, cert.assignment, BASIC_SPEC).valid
 
 
 def test_oracle_forced_flips_verdict():
