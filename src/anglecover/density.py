@@ -7,18 +7,24 @@ the package's one capacity orientation (`core.Orientation`) for that,
 with c = 2; only its policy for the edges that cannot be placed is its own.
 `max_bipartite_matching` asks the same of the edge/doubled-vertex graph
 (`transform.build_gmat`) through the blossom engine, as an independent
-reference.
+reference; it imports that engine (`allocate`) only when it runs, so the
+density test loads neither `allocate` nor `transform`.
 """
 
 from __future__ import annotations
 
-from .allocate import maximum_matching
+from typing import TYPE_CHECKING
+
 from .core import Orientation, RotationGraph, _Record
-from .transform import BipartiteGraph
+
+if TYPE_CHECKING:
+    from .transform import BipartiteGraph
 
 
 def max_bipartite_matching(b: BipartiteGraph) -> dict:
     """Maximum matching as a left-node -> right-node map."""
+    from .allocate import maximum_matching
+
     left = {l: i for i, l in enumerate(b.left)}
     right = {r: len(left) + i for i, r in enumerate(b.right)}
     adj: list[list[int]] = [[] for _ in range(len(left) + len(right))]

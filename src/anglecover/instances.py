@@ -5,6 +5,14 @@ built to satisfy the documented structural properties (degree ranges,
 edge counts, planarity, Laman counts) and its expected verdict is
 enforced by an explicit combinatorial argument, re-checked by the exact
 oracle in the test suite.
+
+The random generators are deterministic per seed.  Each one draws from
+`random.Random(seed)` the same `getrandbits` widths, in the same order,
+as its `shuffle`, `randrange` and `choice` methods would, by CPython's
+rule for a draw below k: `getrandbits(k.bit_length())`, drawn again
+while it is k or more.  It calls `random()` as it is.  The draws are made
+in inline loops (`_below`, `_shuffle`, the rotation shuffles and the
+plane walk), since `random`'s Python wrappers cost more than the bits.
 """
 
 from __future__ import annotations
@@ -459,14 +467,52 @@ class _RankList:
         return self._items[i]
 
 
+def _below(getrandbits, k: int) -> int:
+    """`randrange(k)`, from the same `getrandbits` draws."""
+    b = k.bit_length()
+    r = getrandbits(b)
+    while r >= k:
+        r = getrandbits(b)
+    return r
+
+
+def _shuffle(getrandbits, x: list) -> None:
+    """`shuffle(x)`, from the same `getrandbits` draws: position i swaps
+    with a draw below i + 1, for i from the last down to 1, here taken in
+    runs of one draw width."""
+    hi = len(x) - 1
+    while hi > 0:
+        b = (hi + 1).bit_length()
+        lo = (1 << (b - 1)) - 1  # the lowest i with that width
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(b)
+            while j > i:
+                j = getrandbits(b)
+            x[i], x[j] = x[j], x[i]
+        hi = lo - 1
+
+
 def _random_rotation_graph(edges: dict[int, tuple[int, int]], n: int, rng) -> RotationGraph:
-    """The graph on vertices 0..n-1 with each rotation a random shuffle."""
+    """The graph on vertices 0..n-1 with each rotation a random shuffle of
+    its incident edges (ascending ids, a loop twice), vertex by vertex."""
     incident: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, v) in sorted(edges.items()):
+    for e in sorted(edges):
+        u, v = edges[e]
         incident[u].append(e)
         incident[v].append(e)
+    # `_shuffle` of each list, inline, since a call per vertex costs more
+    # than its draws: the steps (i, draw width) for each length there is.
+    steps = {
+        size: tuple((i, (i + 1).bit_length()) for i in range(size - 1, 0, -1))
+        for size in set(map(len, incident))
+    }
+    getrandbits = rng.getrandbits
     for slots in incident:
-        rng.shuffle(slots)
+        for i, b in steps[len(slots)]:
+            j = getrandbits(b)
+            while j > i:
+                j = getrandbits(b)
+            slots[i], slots[j] = slots[j], slots[i]
     return RotationGraph(tuple(range(n)), edges, dict(enumerate(map(tuple, incident))))
 
 
@@ -477,12 +523,13 @@ def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
     if n >= 2 and dmax < 1 or n >= 3 and dmax < 2:
         raise ValueError(f"no connected graph on {n} vertices with max degree {dmax}")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     capacity = [dmax] * n
     edges: dict[int, tuple[int, int]] = {}
     # open_slots holds exactly the vertices with spare capacity.
     open_slots = _RankList([0] if dmax > 0 else [])
     for v in range(1, n):
-        u = open_slots[rng.randrange(len(open_slots))]
+        u = open_slots[_below(getrandbits, len(open_slots))]
         edges[len(edges)] = (u, v)
         capacity[u] -= 1
         capacity[v] -= 1
@@ -490,17 +537,17 @@ def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
             open_slots.remove(u)
         if capacity[v] > 0:
             open_slots.append(v)
-    for _ in range(rng.randrange(0, max(2, n))):
+    for _ in range(_below(getrandbits, max(2, n))):
         if not open_slots:
             break
-        i = rng.randrange(len(open_slots))
+        i = _below(getrandbits, len(open_slots))
         u = open_slots[i]
         if capacity[u] >= 2 and rng.random() < 0.1:
             v = u  # occasional self-loop
         else:
             if len(open_slots) == 1:
                 continue
-            j = rng.randrange(len(open_slots) - 1)
+            j = _below(getrandbits, len(open_slots) - 1)
             v = open_slots[j + (j >= i)]  # any open vertex but u
         edges[len(edges)] = (u, v)
         capacity[u] -= 1
@@ -519,10 +566,8 @@ def gen_regular(n: int, d: int, seed) -> RotationGraph:
         raise ValueError("n * d must be even")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    rng.shuffle(stubs)
-    edges = {
-        i: (stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)
-    }
+    _shuffle(rng.getrandbits, stubs)
+    edges = dict(enumerate(zip(stubs[::2], stubs[1::2])))
     return _random_rotation_graph(edges, n, rng)
 
 
@@ -531,23 +576,24 @@ def random_henneberg_steps(k: int, seed) -> list[tuple]:
     if k < 0:
         raise ValueError(f"need k >= 0 steps, got {k}")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     n = 2
     edge_ids = _RankList([0])
     next_edge = 1
     steps: list[tuple] = []
     for _ in range(k):
         if n >= 3 and rng.random() < 0.5:
-            e = rng.choice(edge_ids)
+            e = edge_ids[_below(getrandbits, len(edge_ids))]
             steps.append(("s2", e, None))  # third endpoint picked at build time
             edge_ids.remove(e)
             for x in range(next_edge, next_edge + 3):
                 edge_ids.append(x)
             next_edge += 3
         else:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
+            u = _below(getrandbits, n)
+            v = _below(getrandbits, n)
             while v == u:
-                v = rng.randrange(n)
+                v = _below(getrandbits, n)
             steps.append(("s1", u, v))
             edge_ids.append(next_edge)
             edge_ids.append(next_edge + 1)
@@ -611,7 +657,7 @@ def gen_random_outerplane(n: int, seed) -> RotationGraph:
         lo, hi = stack.pop()
         if hi - lo < 2:
             continue
-        k = rng.randrange(lo + 1, hi)
+        k = lo + 1 + _below(rng.getrandbits, hi - lo - 1)
         if k - lo > 1:
             diagonals.append((lo, k))
         if hi - k > 1:
@@ -633,20 +679,29 @@ def gen_random_plane_deg4(n: int, seed) -> RotationGraph:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     side = max(2, math.isqrt(n - 1) + 1)
-    # Cell (x, y) is x * side + y; nbrs[c] lists its neighbours in the
-    # order +x, -x, +y, -y.
+    # Cell (x, y) is x * side + y.  A random walk collects n distinct
+    # cells, numbered as it reaches them.  A step draws below the cell's
+    # neighbour count: steps[c] is the draw width b and the neighbours, in
+    # the order +x, -x, +y, -y, padded with None up to 2**b, and a None is
+    # drawn again.
     moves = ((side, 1, 0), (-side, -1, 0), (1, 0, 1), (-1, 0, -1))
-    nbrs = [
-        tuple(c + d for d, dx, dy in moves if 0 <= x + dx < side and 0 <= y + dy < side)
-        for c, (x, y) in enumerate(product(range(side), repeat=2))
-    ]
-    # Random walk collects n distinct cells, numbered as it reaches them.
+    steps = []
+    for c, (x, y) in enumerate(product(range(side), repeat=2)):
+        options = tuple(
+            c + d for d, dx, dy in moves if 0 <= x + dx < side and 0 <= y + dy < side
+        )
+        b = len(options).bit_length()
+        steps.append((b, options + (None,) * ((1 << b) - len(options))))
+    getrandbits = rng.getrandbits
     index = {0: 0}
     cur = 0
-    while len(index) < n:
-        options = nbrs[cur]
-        cur = options[rng.randrange(len(options))]
-        index.setdefault(cur, len(index))
+    for count in range(1, n):
+        while cur in index:
+            b, table = steps[cur]
+            cur = table[getrandbits(b)]
+            while cur is None:
+                cur = table[getrandbits(b)]
+        index[cur] = count
     # Spanning tree over the taken cells, then extra grid edges at random.
     # A candidate is (vertex, its +x or +y neighbour, 0 for +x or 1 for +y).
     candidates = []
@@ -655,7 +710,7 @@ def gen_random_plane_deg4(n: int, seed) -> RotationGraph:
             candidates.append((i, index[c + side], 0))
         if (c + 1) % side and c + 1 in index:  # y + 1 < side
             candidates.append((i, index[c + 1], 1))
-    rng.shuffle(candidates)
+    _shuffle(getrandbits, candidates)
     parent = list(range(n))
     chosen = []
     extras = []

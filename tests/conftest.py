@@ -330,3 +330,25 @@ def reference_validate_graph(g):
         if v not in g.rotation and v in endpoints:
             issues.append(f"vertex {v}: missing rotation")
     return issues
+
+
+def reference_serialize_instance(g):
+    """`fileio.serialize_instance` written one f-string per line, the
+    reference its block writer must match byte for byte."""
+    tg = None if isinstance(g, RotationGraph) else g
+    if tg is not None:
+        g = tg.base
+    vertices, edges, rotation = sorted(g.vertices), g.edges, g.rotation
+    lines = [f"v {v}" for v in vertices]
+    lines += [f"e {e} {u} {v}" for e in sorted(edges) for u, v in (edges[e],)]
+    lines += [
+        f"rot {v}: {' '.join(map(str, rotation.get(v, ())))}".rstrip() for v in vertices
+    ]
+    if tg is not None:
+        for x in sorted(tg.crossings):
+            cr = tg.crossings[x]
+            lines.append(f"x {x} {cr.e} {cr.f} {cr.bit}")
+        for e in sorted(tg.sequences):
+            seq = " ".join(str(x) for x in tg.sequences[e])
+            lines.append(f"seq {e}: {seq}".rstrip())
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -14,7 +14,10 @@ from anglecover.core import (
 from anglecover.fileio import serialize_instance
 from anglecover.instances import (
     FIG3_ORIENTATION,
+    _below,
+    _random_rotation_graph,
     _RankList,
+    _shuffle,
     gen_henneberg_laman,
     gen_random_bounded_degree,
     gen_random_outerplane,
@@ -258,6 +261,16 @@ PINNED_BYTES = [
      "1cfc82870538b19591d133aa92d485eaedfd8c1a31607ee4e754977b2c7b0c9d"),
     (gen_random_bounded_degree, (10_000, 4, 3),
      "909c7b062ab0c5cb25117c7108e962ab844bf65dcd0d7be61209d13aafac0d19"),
+    # The linear workload's regular instances at seed 1; n = 10^5 shuffles
+    # its stubs with draws up to 19 bits wide.
+    (gen_regular, (100_000, 4, 101),
+     "da939f8d0fd5ec770fb1b4272d86fe9ef0b18b1c368c9c60fdd4c9305a6a94fa"),
+    (gen_regular, (20_000, 4, 104),
+     "caebf01a131a708556ec68bcbd857b053ea59b35c3c433f57adf31961d5ee219"),
+    (gen_regular, (5_000, 16, 105),
+     "3dbb07b5aef61646ef7c2cd171976c396d68f8de3413aa854e6fc47dfdeabc43"),
+    (gen_regular, (20_000, 6, 106),
+     "a1f023709682102d3f65d544cdeeb24fec4e550a3c9b73bb5698b689f67817c8"),
 ]
 
 
@@ -268,6 +281,60 @@ def test_generated_bytes_are_pinned(gen, args, digest):
     out = gen(*args)
     text = out if isinstance(out, str) else serialize_instance(out)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Lengths 0-70, then each power of two up to 2^18 with its neighbours,
+# where the draw width changes.
+DRAW_SIZES = sorted({*range(71), *(2**k + d for k in range(1, 19) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_inlined_draws_match_random(seed):
+    # `random` is the reference: the generators draw its `getrandbits`
+    # widths themselves, so a Python whose `random` draws otherwise fails
+    # here and not only in the pinned digests.
+    ref, rng = random.Random(seed), random.Random(seed)
+    getrandbits = rng.getrandbits
+    for size in DRAW_SIZES:
+        expected, got = list(range(size)), list(range(size))
+        ref.shuffle(expected)
+        _shuffle(getrandbits, got)
+        assert got == expected, size
+        if size:
+            draws = [ref.randrange(size) for _ in range(50)]
+            assert [_below(getrandbits, size) for _ in range(50)] == draws, size
+        assert rng.getstate() == ref.getstate(), size
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rotation_shuffles_match_random(seed):
+    # Vertex v < 71 has degree v: v // 2 loops, and for odd v an edge to
+    # vertex 71; the edge ids come in a shuffled order.
+    ends = [(v, v) for v in range(71) for _ in range(v // 2)]
+    ends += [(v, 71) for v in range(1, 71, 2)]
+    ids = list(range(len(ends)))
+    random.Random(seed).shuffle(ids)
+    edges = dict(zip(ids, ends))
+    ref, rng = random.Random(seed), random.Random(seed)
+    g = _random_rotation_graph(edges, 72, rng)
+    incident = [[] for _ in range(72)]
+    for e, (u, v) in sorted(edges.items()):
+        incident[u].append(e)
+        incident[v].append(e)
+    for slots in incident:
+        ref.shuffle(slots)
+    assert g.rotation == dict(enumerate(map(tuple, incident)))
+    assert rng.getstate() == ref.getstate()
+
+
+def test_rotation_shuffles_scale_with_the_edges():
+    # A step table for every length up to the maximum degree would be
+    # quadratic in a hub's degree; Henneberg's 10^4 steps make one of 4008.
+    edges = {e: (0, e + 1) for e in range(5000)}
+    t0 = time.perf_counter()
+    g = _random_rotation_graph(edges, 5001, random.Random(1))
+    assert time.perf_counter() - t0 < 1.0
+    assert sorted(g.rotation[0]) == list(range(5000))
 
 
 def test_rank_list_matches_a_list():
