@@ -132,9 +132,6 @@ class RotationGraph(_Record):
     def max_degree(self) -> int:
         return max((self.deg(v) for v in self.vertices), default=0)
 
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def has_loops(self) -> bool:
         return any(u == v for u, v in self.edges.values())
 
@@ -162,13 +159,6 @@ class RotationGraph(_Record):
         if ix.vertex[d] != self.edges[e][0]:
             d, t = t, d
         return (ix.vertex[d], ix.slot(d)), (ix.vertex[t], ix.slot(t))
-
-    def edge_slots(self, v: int) -> dict[int, list[int]]:
-        """Slots at v keyed by edge id (a loop maps to both its slots)."""
-        out: dict[int, list[int]] = {}
-        for s, e in enumerate(self.rotation.get(v, ())):
-            out.setdefault(e, []).append(s)
-        return out
 
 
 class DartIndex(_Record):

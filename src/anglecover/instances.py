@@ -25,12 +25,11 @@ from .core import Angle, AngleAssignment, RotationGraph, _Record, find
 
 
 class NamedInstance(_Record):
-    __slots__ = _fields = ("name", "graph", "expected", "labels", "cover")
-    _defaults = (None, None, None)
+    __slots__ = _fields = ("name", "graph", "expected", "cover")
+    _defaults = (None, None)
     name: str
     graph: RotationGraph
     expected: str | None  # verdict for the (1, 2) problem
-    labels: dict[str, int] | None
     cover: AngleAssignment | None  # known-good cover, when shipped
 
 
@@ -39,7 +38,7 @@ def _graph_from_coords(
     positions,
     edge_list: list[tuple],
     bends: dict[tuple, float] | None = None,
-) -> tuple[RotationGraph, dict]:
+) -> RotationGraph:
     """Build a RotationGraph from a straight-line drawing.
 
     `names` lists the vertex names, and `positions` maps each name to its
@@ -65,7 +64,7 @@ def _graph_from_coords(
         darts[ids[v]].append((at_v % tau, i))
     rotation = {v: tuple(e for _, e in sorted(row)) for v, row in darts.items()}
     # Every container is fresh, so the graph takes them without a copy.
-    return RotationGraph(tuple(sorted(ids.values())), edges, rotation), ids
+    return RotationGraph(tuple(sorted(ids.values())), edges, rotation)
 
 
 def _graph_from_tables(
@@ -101,11 +100,11 @@ def _fig1() -> NamedInstance:
     edges += [(f"i{i}", f"i{(i + 1) % 4}") for i in range(4)]
     edges += [(f"o{i}", f"i{i}") for i in range(4)]
     edges += [(f"o{i}", f"i{(i - 1) % 4}") for i in range(4)]
-    g, ids = _graph_from_coords(names, pos, edges)
+    g = _graph_from_coords(names, pos, edges)
     cover = AngleAssignment.build(
         {v: [ang] for v, ang in _FIG1_COVER.items()}
     )
-    return NamedInstance("fig1", g, "YES", ids, cover)
+    return NamedInstance("fig1", g, "YES", cover)
 
 
 # A frozen cover of fig1 (computed once by the degree-4 solver, then
@@ -176,8 +175,8 @@ def _fig2a() -> NamedInstance:
     edge_list += [("L", "I7"), ("L", "I0"), ("L", "I1")]
     edge_list += [("R", "I3"), ("R", "I4"), ("R", "I5")]
     _double_octagon(edge_list, pos, bends)
-    g, ids = _graph_from_coords(names, pos, edge_list, bends)
-    return NamedInstance("fig2a", g, "NO", ids)
+    g = _graph_from_coords(names, pos, edge_list, bends)
+    return NamedInstance("fig2a", g, "NO")
 
 
 def _k4_block(tag: str, base: tuple[float, float], up: float) -> tuple[list[str], dict, list]:
@@ -221,8 +220,8 @@ def _fig2b() -> NamedInstance:
     edge_list += [("L", "I7"), ("L", "I0"), ("L", "I1")]
     edge_list += [("R", "I3"), ("R", "I4"), ("R", "I5")]
     _double_octagon(edge_list, pos, bends)
-    g, ids = _graph_from_coords(names, pos, edge_list, bends)
-    return NamedInstance("fig2b", g, "NO", ids)
+    g = _graph_from_coords(names, pos, edge_list, bends)
+    return NamedInstance("fig2b", g, "NO")
 
 
 def _fig3() -> NamedInstance:
@@ -274,8 +273,8 @@ def _fig3() -> NamedInstance:
         n: [eidx[frozenset((n, m))] for m in nbrs]
         for n, nbrs in neighbour_order.items()
     }
-    g, ids = _graph_from_tables(names, edge_list, rotations)
-    return NamedInstance("fig3", g, "NO", ids)
+    g, _ = _graph_from_tables(names, edge_list, rotations)
+    return NamedInstance("fig3", g, "NO")
 
 
 # A strongly connected orientation of fig3 with out-degree 2 everywhere:
@@ -330,7 +329,7 @@ def _fig4(yes: bool) -> NamedInstance:
     centre = [0, 1, 2, 3] if yes else [0, 2, 1, 3]
     g, ids = _graph_from_tables(names, E, {**shared, "c": centre})
     if not yes:
-        return NamedInstance("fig4-no", g, "NO", ids)
+        return NamedInstance("fig4-no", g, "NO")
     cover = AngleAssignment.build(
         {
             ids["c"]: [Angle(ids["c"], 0, 2)],
@@ -344,7 +343,7 @@ def _fig4(yes: bool) -> NamedInstance:
             ids["w4"]: [Angle(ids["w4"], 0, 2)],
         }
     )
-    return NamedInstance("fig4-yes", g, "YES", ids, cover)
+    return NamedInstance("fig4-yes", g, "YES", cover)
 
 
 def _laman_fig6() -> NamedInstance:
@@ -383,8 +382,8 @@ def _laman_fig6() -> NamedInstance:
         "R4": [11, 12],
         "R5": [13, 14],
     }
-    g, ids = _graph_from_tables(names, E, rotations)
-    return NamedInstance("laman-fig6", g, "NO", ids)
+    g, _ = _graph_from_tables(names, E, rotations)
+    return NamedInstance("laman-fig6", g, "NO")
 
 
 def _t_graph() -> NamedInstance:
@@ -392,10 +391,7 @@ def _t_graph() -> NamedInstance:
     2-angle cover must leave one of the two anchor edges to the anchor."""
     from .reduce import build_T
 
-    frag = build_T()
-    labels = {"v": frag.external, "b1": 8, "b2": 9}
-    labels.update({f"k{i}": i + 1 for i in range(7)})
-    return NamedInstance("t-graph", frag.graph, None, labels)
+    return NamedInstance("t-graph", build_T().graph)
 
 
 # Name -> builder; a lookup builds only the instance it names.
@@ -668,8 +664,7 @@ def gen_random_outerplane(n: int, seed) -> RotationGraph:
     edge_list += kept
     # Vertex names are the integers themselves, positions a list by them.
     pos = [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)) for i in range(n)]
-    g, _ = _graph_from_coords(range(n), pos, edge_list)
-    return g
+    return _graph_from_coords(range(n), pos, edge_list)
 
 
 def gen_random_plane_deg4(n: int, seed) -> RotationGraph:

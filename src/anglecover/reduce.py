@@ -3,11 +3,12 @@
 The core construction replaces every source vertex by a gadget of three
 colour paths around a centre; a cover of the output corresponds exactly
 to a proper 3-colouring of the input.  Variants raise the angle budget
-(clique attachments), cap the degree at 8 (the T fragment), widen the
-angles (longer separator runs), or bootstrap hardness from any witness
-graph with no multi-angle cover.  The bootstrap needs a maximum-coverage
-assignment of the witness, which `max_coverage` gets from the oracle by
-raising its allowance of uncovered edges.
+(hung cliques), cap the degree at 8 (the T fragment), widen the angles
+(longer separator runs), or bootstrap hardness from any witness graph
+with no multi-angle cover.  One block builder, `_hang`, hangs both the
+cliques and the T fragments on their hosts.  The bootstrap needs a
+maximum-coverage assignment of the witness, which `max_coverage` gets
+from the oracle by raising its allowance of uncovered edges.
 """
 
 from __future__ import annotations
@@ -38,21 +39,19 @@ class WitnessBudgetError(InvalidWitnessError):
 class GadgetMap(_Record):
     """Bookkeeping for the 3-colouring reduction.
 
-    `centre[v]` is the gadget centre for source vertex v; `e`, `a` and
-    `b` map (v, colour, j) with 1-based path position j to the path and
-    separator-leaf vertices.  `edge_order[v]` fixes the incident-edge
-    numbering E_1(v)..E_deg(v); `centre_edges[(v, k)]` is the output edge
-    (centre, first path vertex of colour k); `cross_edges[e]` lists the
-    three inter-gadget edges standing in for source edge e.
+    `centre[v]` is the gadget centre for source vertex v; `e` maps
+    (v, colour, j) with 1-based path position j to the path vertex.
+    `edge_order[v]` fixes the incident-edge numbering E_1(v)..E_deg(v);
+    `centre_edges[(v, k)]` is the output edge (centre, first path vertex
+    of colour k); `cross_edges[e]` lists the three inter-gadget edges
+    standing in for source edge e.
     """
 
     __slots__ = _fields = (
-        "centre", "e", "a", "b", "edge_order", "centre_edges", "cross_edges",
+        "centre", "e", "edge_order", "centre_edges", "cross_edges",
     )
     centre: dict[int, int]
     e: dict[tuple[int, int, int], int]
-    a: dict[tuple[int, int, int], int]
-    b: dict[tuple[int, int, int], int]
     edge_order: dict[int, tuple[int, ...]]
     centre_edges: dict[tuple[int, int], int]
     cross_edges: dict[int, tuple[int, int, int]]
@@ -70,25 +69,22 @@ def _require_simple(g: Multigraph) -> None:
 
 
 class _Builder:
-    """Mutable output-graph under construction."""
+    """Mutable output graph under construction; vertices and edges are
+    numbered 0, 1, ... in the order they are added."""
 
-    __slots__ = ("edges", "rot", "next_vertex", "next_edge")
+    __slots__ = ("edges", "rot")
 
-    def __init__(self, edges=None, rot=None, next_vertex=0, next_edge=0):
-        self.edges = {} if edges is None else edges
-        self.rot = {} if rot is None else rot
-        self.next_vertex = next_vertex
-        self.next_edge = next_edge
+    def __init__(self):
+        self.edges = {}
+        self.rot = {}
 
     def new_vertex(self) -> int:
-        v = self.next_vertex
-        self.next_vertex += 1
+        v = len(self.rot)
         self.rot[v] = []
         return v
 
     def add_edge(self, u: int, v: int) -> int:
-        e = self.next_edge
-        self.next_edge += 1
+        e = len(self.edges)
         self.edges[e] = (u, v)
         return e
 
@@ -101,8 +97,9 @@ class _Builder:
         return e
 
     def finish(self) -> RotationGraph:
-        return RotationGraph.build(
-            range(self.next_vertex),
+        # Every container is fresh, so the graph takes them without a copy.
+        return RotationGraph(
+            tuple(range(len(self.rot))),
             self.edges,
             {v: tuple(r) for v, r in self.rot.items()},
         )
@@ -139,8 +136,6 @@ def _build_gadgets(
 
     centre: dict[int, int] = {}
     ev: dict[tuple[int, int, int], int] = {}
-    av: dict[tuple[int, int, int], int] = {}
-    bv: dict[tuple[int, int, int], int] = {}
     centre_edges: dict[tuple[int, int], int] = {}
     path_edges: dict[tuple[int, int, int], int] = {}  # (v,k,j): to e^k_{j-1}
 
@@ -150,7 +145,6 @@ def _build_gadgets(
         if d == 0:
             # An isolated vertex contributes just its centre: any colour
             # works, and there is nothing for the paths to constrain.
-            b.rot[centre[v]] = []
             continue
         for k in range(3):
             for j in range(1, d + 1):
@@ -172,8 +166,6 @@ def _build_gadgets(
                 host = ev[(v, k, j)]
                 a_edges = [b.attach_leaf(host) for _ in range(sep)]
                 b_edges = [b.attach_leaf(host) for _ in range(sep)]
-                av[(v, k, j)] = b.edges[a_edges[0]][1]
-                bv[(v, k, j)] = b.edges[b_edges[0]][1]
                 # Rotation: previous path edge, a-leaves, the cross edge
                 # (placed later), next path edge, b-leaves.
                 rot = [path_edges[(v, k, j)]]
@@ -197,7 +189,7 @@ def _build_gadgets(
                 b.rot[host][slot] = ce
         cross_edges[e] = tuple(triple)
 
-    gmap = GadgetMap(centre, ev, av, bv, edge_order, centre_edges, cross_edges)
+    gmap = GadgetMap(centre, ev, edge_order, centre_edges, cross_edges)
     return b, gmap
 
 
@@ -251,44 +243,57 @@ def extract_3colouring(
     return colouring
 
 
-def _attach_cliques(b: _Builder, host: int, at: int, count: int, size: int):
-    """`count` fresh K_size copies, each joined to host by one edge; the
-    new host slots are inserted contiguously at rotation index `at`."""
-    new_edges = []
-    for _ in range(count):
-        vs = [b.new_vertex() for _ in range(size)]
-        eid = {}
-        for x, y in itertools.combinations(vs, 2):
-            eid[(x, y)] = eid[(y, x)] = b.add_edge(x, y)
-        stub = b.add_edge(host, vs[0])
-        eid[(vs[0], host)] = stub
-        for v in vs:
-            nbrs = sorted(w for w in vs if w != v)
-            if v == vs[0]:
-                nbrs = sorted(nbrs + [host])
-            b.rot[v] = [eid[(v, w)] for w in nbrs]
-        new_edges.append(stub)
-    b.rot[host][at:at] = new_edges
+def _hang(b: _Builder, host: int, size: int, hubs: int = 0) -> list[int]:
+    """Hang a fresh K_size on host and return host's new edges, which the
+    caller places in host's rotation.  With no hubs one edge joins the
+    first clique vertex to host; otherwise `hubs` hubs are each joined to
+    every clique vertex and to host.  Every new vertex lists its
+    neighbours in ascending id order."""
+    clique = [b.new_vertex() for _ in range(size)]
+    tops = [b.new_vertex() for _ in range(hubs)]
+    at: dict[int, dict[int, int]] = {v: {} for v in (host, *clique, *tops)}
+
+    def join(u: int, w: int) -> None:
+        at[u][w] = at[w][u] = b.add_edge(u, w)
+
+    for x, y in itertools.combinations(clique, 2):
+        join(x, y)
+    for h in tops:
+        for v in clique:
+            join(h, v)
+    for h in tops:
+        join(h, host)
+    if not tops:
+        join(host, clique[0])
+    for v in (*clique, *tops):
+        b.rot[v] = [at[v][w] for w in sorted(at[v])]
+    return list(at[host].values())
+
+
+def _hosts(gmap: GadgetMap):
+    """Per source vertex with edges, in vertex order: its path vertices,
+    colour by colour, and its centre.  An isolated source vertex keeps a
+    bare centre."""
+    for v, c in gmap.centre.items():
+        if d := len(gmap.edge_order[v]):
+            yield [gmap.e[(v, k, j)] for k in range(3) for j in range(1, d + 1)], c
 
 
 def reduce_multi(g: Multigraph, a: int) -> RotationGraph:
     """Multi-angle hardness: output max degree 4a+1 for the a-angle
-    problem.  Clique attachments soak up a-1 angles at every path vertex
+    problem.  The hung cliques soak up a-1 angles at every path vertex
     and centre."""
     if a < 2:
         raise UnsupportedInputError("multi-angle reduction needs a >= 2")
     b, gmap = _build_gadgets(g)
     size = 4 * a + 1
-    for v in sorted(gmap.centre):
-        if not gmap.edge_order[v]:
-            continue  # an isolated source vertex keeps a bare centre
-        for k in range(3):
-            for j in range(1, len(gmap.edge_order[v]) + 1):
-                host = gmap.e[(v, k, j)]
-                # Directly before the a-leaf edge (rotation index 1).
-                _attach_cliques(b, host, 1, 2 * (a - 1), size)
-        # Between the colour-0 and colour-1 path edges.
-        _attach_cliques(b, gmap.centre[v], 1, 2 * (a - 1), size)
+    for path, c in _hosts(gmap):
+        # 2(a-1) cliques per host, their edges at rotation index 1: directly
+        # before a path vertex's a-leaf edge, between a centre's colour-0
+        # and colour-1 path edges.
+        for host in (*path, c):
+            hung = [e for _ in range(2 * (a - 1)) for e in _hang(b, host, size)]
+            b.rot[host][1:1] = hung
     h = b.finish()
     _check_gadget_degrees(h, gmap, size, 2 * a + 1, 2 * a + 3)
     return h
@@ -318,40 +323,16 @@ class TFragment(_Record):
     external: int
 
 
-def _attach_t(b: _Builder, host: int) -> tuple[int, int]:
-    """One T copy joined to host by its two hub stubs; returns the stub
-    edge ids (host slots left for the caller to place)."""
-    core = [b.new_vertex() for _ in range(7)]
-    hubs = [b.new_vertex() for _ in range(2)]
-    eid = {}
-    for x, y in itertools.combinations(core, 2):
-        eid[(x, y)] = eid[(y, x)] = b.add_edge(x, y)
-    for h in hubs:
-        for v in core:
-            eid[(h, v)] = eid[(v, h)] = b.add_edge(h, v)
-    stubs = (b.add_edge(hubs[0], host), b.add_edge(hubs[1], host))
-    for h, stub in zip(hubs, stubs):
-        eid[(h, host)] = stub
-    for v in core:
-        nbrs = sorted(w for w in core + hubs if w != v)
-        b.rot[v] = [eid[(v, w)] for w in nbrs]
-    for h in hubs:
-        nbrs = sorted(core + [host])
-        b.rot[h] = [eid[(h, v)] for v in nbrs]
-    return stubs
-
-
 def build_T() -> TFragment:
     """The standalone blocker with its external anchor included: nine
     internal vertices of degree 8 and 37 edges counting the two stubs."""
     b = _Builder()
     external = b.new_vertex()
-    stubs = _attach_t(b, external)
-    b.rot[external] = list(stubs)
+    b.rot[external] = stubs = _hang(b, external, 7, 2)
     g = b.finish()
     assert len(g.edges) == 37
     assert all(g.deg(v) == 8 for v in g.vertices if v != external)
-    return TFragment(g, stubs, external)
+    return TFragment(g, tuple(stubs), external)
 
 
 def reduce_2angle_deg8(g: Multigraph) -> RotationGraph:
@@ -359,19 +340,11 @@ def reduce_2angle_deg8(g: Multigraph) -> RotationGraph:
     and one T copy (slot order x, hub, hub directly before the a-leaf);
     every centre gets two T copies between its first two path edges."""
     b, gmap = _build_gadgets(g)
-    for v in sorted(gmap.centre):
-        if not gmap.edge_order[v]:
-            continue  # an isolated source vertex keeps a bare centre
-        for k in range(3):
-            for j in range(1, len(gmap.edge_order[v]) + 1):
-                host = gmap.e[(v, k, j)]
-                x_edge = b.attach_leaf(host)
-                s1, s2 = _attach_t(b, host)
-                b.rot[host][1:1] = [x_edge, s1, s2]
-        c = gmap.centre[v]
-        s1, s2 = _attach_t(b, c)
-        s3, s4 = _attach_t(b, c)
-        b.rot[c][1:1] = [s1, s2, s3, s4]
+    for path, c in _hosts(gmap):
+        for host in path:
+            x_edge = b.attach_leaf(host)
+            b.rot[host][1:1] = [x_edge, *_hang(b, host, 7, 2)]
+        b.rot[c][1:1] = _hang(b, c, 7, 2) + _hang(b, c, 7, 2)
     h = b.finish()
     _check_gadget_degrees(h, gmap, 8, 7, 8)
     return h

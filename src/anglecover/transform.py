@@ -19,9 +19,6 @@ class Multigraph(_Record):
     vertices: tuple[int, ...]
     edges: dict[int, tuple[int, int]]
 
-    def num_edges(self) -> int:
-        return len(self.edges)
-
 
 class BipartiteGraph(_Record):
     __slots__ = _fields = ("left", "right", "edges")

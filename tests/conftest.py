@@ -32,6 +32,15 @@ def rotation_graph(edge_pairs, rotations=None, n=None):
     return RotationGraph.build(range(n), edges, rotations)
 
 
+def edge_slots(g, v):
+    """Slots at v in rotation graph g keyed by edge id (a loop maps to
+    both its slots)."""
+    out = {}
+    for s, e in enumerate(g.rotation.get(v, ())):
+        out.setdefault(e, []).append(s)
+    return out
+
+
 def disjoint_union(g, h):
     """g and a copy of h whose vertex and edge ids follow g's."""
     voff = max(g.vertices, default=-1) + 1
@@ -161,7 +170,7 @@ def _covered_counts(g, spec):
             for starts in itertools.combinations(range(d), min(spec.a, d))
         }
         per_vertex.append(sorted(opts, key=sorted))
-    slot_of = {v: g.edge_slots(v) for v in verts}
+    slot_of = {v: edge_slots(g, v) for v in verts}
     for combo in itertools.product(*per_vertex):
         chosen = dict(zip(verts, combo))
         yield sum(
@@ -188,14 +197,14 @@ def min_allocation_bruteforce(g, m=2, cap=18):
     Branch-and-bound over per-edge coverer choices; assigning each edge to
     exactly one endpoint is optimal because min_arc_cover is monotone.
     """
-    if g.num_edges() > cap:
+    if len(g.edges) > cap:
         raise UnsupportedInputError(f"instance above brute-force cap ({cap} edges)")
     deg = {v: g.deg(v) for v in g.vertices}
     edge_ids = sorted(g.edges)
     options = {e: g.ends(e) for e in edge_ids}
     committed = {v: set() for v in g.vertices}
     mac = {v: 0 for v in g.vertices}
-    best_size = [g.num_edges() + 1]
+    best_size = [len(g.edges) + 1]
     best_slots = [{}]
 
     def dfs(i, bound):

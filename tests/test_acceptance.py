@@ -167,7 +167,7 @@ def test_criterion_07_allocation_optimality():
     done = 0
     while done < 200:
         g = random_rotation_graph(rng, n_max=7, e_max=18, loops=True)
-        if g.num_edges() == 0:
+        if len(g.edges) == 0:
             continue
         done += 1
         asg, size = optimal_allocation(g)

@@ -63,7 +63,7 @@ def test_allocation_matches_bruteforce():
     rng = random.Random(61)
     for _ in range(150):
         g = random_rotation_graph(rng, n_max=6, e_max=10, loops=True)
-        if g.num_edges() == 0:
+        if len(g.edges) == 0:
             continue
         asg, size = optimal_allocation(g)
         assert size == min_allocation_bruteforce(g)[0]

@@ -29,6 +29,7 @@ from anglecover.fileio import parse_instance, serialize_instance
 from conftest import (
     complete_rotation_graph,
     disjoint_union,
+    edge_slots,
     reference_validate_graph,
     rotation_graph,
 )
@@ -91,7 +92,7 @@ def test_validate_graph_clean():
 def test_loop_occupies_two_slots():
     g = rotation_graph([(0, 0), (0, 1)])
     assert g.deg(0) == 3
-    assert g.edge_slots(0)[0] == [0, 1]
+    assert edge_slots(g, 0)[0] == [0, 1]
 
 
 def test_angle_slots_wrap():
@@ -212,7 +213,7 @@ _DEFAULTS = {
     "Certificate": (None, 0, 0, 0, 0, 0),
     "CoverSpec": (1, 2),
     "DensityReport": (None,),
-    "NamedInstance": (None, None, None),
+    "NamedInstance": (None, None),
 }
 
 

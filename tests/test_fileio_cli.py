@@ -460,6 +460,26 @@ def test_cli_reduce_isolated_source_vertex(tmp_path, capsys, variant):
     assert validate_graph(parse_instance(capsys.readouterr().out)) == []
 
 
+@pytest.mark.parametrize(
+    "variant", [["3col"], ["multi", "--angles", "2"], ["2angle8"], ["wide", "--width", "3"]],
+    ids=["3col", "multi", "2angle8", "wide"],
+)
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ("e 0 0 0\ne 1 0 1\n", "input graph must be loop-free"),
+        ("e 0 0 1\ne 1 0 1\ne 2 1 2\n", "input graph must be simple"),
+    ],
+    ids=["loop", "parallel"],
+)
+def test_cli_reduce_rejects_a_non_simple_source(tmp_path, capsys, variant, edges, message):
+    f = write(tmp_path, "src.inst", edges)
+    assert main(["reduce", *variant, f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_reduce_witness_with_long_path(tmp_path, capsys):
     # fig2a plus a disjoint 1100-vertex path is still a witness; the
     # maximum-coverage search once recursed per vertex and hit the limit.

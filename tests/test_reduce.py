@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -11,6 +12,7 @@ from anglecover.core import (
     check_cover,
     validate_graph,
 )
+from anglecover.fileio import serialize_instance
 from anglecover.reduce import (
     InvalidWitnessError,
     build_T,
@@ -29,6 +31,7 @@ from conftest import (
     check_3colouring,
     complete_graph,
     connected_simple_graphs,
+    edge_slots,
     multigraph,
     random_fixed_degree_graph,
     rotation_graph,
@@ -140,7 +143,7 @@ def test_isolated_source_vertex_keeps_a_bare_centre(reduce):
     assert len(h_iso.vertices) == len(h.vertices) + 1
     assert len(h_iso.edges) == len(h.edges)
     assert [h_iso.deg(v) for v in h_iso.vertices].count(0) == 1
-    assert reduce(multigraph(2, [])).num_edges() == 0
+    assert len(reduce(multigraph(2, [])).edges) == 0
 
 
 def test_reduce_wide_equivalence():
@@ -188,13 +191,52 @@ def test_max_coverage_skips_counting_bound_steps():
     assert len(chk.uncovered_edges) == 6 and not chk.violations
 
 
+_K3, _K4 = complete_graph(3), complete_graph(4)
+_C5 = multigraph(5, [(i, (i + 1) % 5) for i in range(5)])
+_K3_ISO = multigraph(4, [(0, 1), (0, 2), (1, 2)])  # K3 plus an isolated vertex
+
+# sha256 of serialize_instance of each reduction output.
+PINNED_REDUCTIONS = [
+    ("3col-K4", lambda: reduce_3col(_K4)[0],
+     "896099b2a15cbb5d3cace199a8fb6a0ddb8da953a0022aaaf30525d385b70b23"),
+    ("3col-C5", lambda: reduce_3col(_C5)[0],
+     "a948f609192b353f48975289eb18f8c7d17021c3dd12e49fc92b9f9034dc70d9"),
+    ("multi-K4-a2", lambda: reduce_multi(_K4, 2),
+     "96ae2f34a47ab591c9415c05940c03b0042c1e2d3ce76b31b8bd2fca029a3144"),
+    ("multi-K3-a3", lambda: reduce_multi(_K3, 3),
+     "7c9c7acdd85b69c854ecb4bd015bf7ade4d6690b7fd2353a7dd82b242f42b052"),
+    ("multi-K3iso-a2", lambda: reduce_multi(_K3_ISO, 2),
+     "c7a166a31969fd603f51f93bd2b585b11433f6ce831e385bed1fc395926f84bb"),
+    ("2angle8-K4", lambda: reduce_2angle_deg8(_K4),
+     "c68fd9e0542ea3449ad2dd2627706749f02db3a753fa359bf53ffd1310b80da0"),
+    ("2angle8-K3iso", lambda: reduce_2angle_deg8(_K3_ISO),
+     "87b6629fc76727da4cdabcb9d615165ae0020cc1b7338e8e340ccb1d673efb35"),
+    ("wide-K4-m3", lambda: reduce_wide(_K4, 3),
+     "8a21ad6360afbcf025f81ae99cbfc70dfb6d7c12441255de82b20e0f093f3765"),
+    ("wide-C5-m4", lambda: reduce_wide(_C5, 4),
+     "ddb8f107db30cd1bcfe6283e03a85138c459307cfd93ba6cb705bc6337e5a2ee"),
+    ("T", lambda: build_T().graph,
+     "f402cb9f441e4b700be421c075add690669bfe05a9d0106d6269cc2e59919a82"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [p[1:] for p in PINNED_REDUCTIONS],
+    ids=[p[0] for p in PINNED_REDUCTIONS],
+)
+def test_reduction_bytes_are_pinned(build, digest):
+    text = serialize_instance(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def covered_edges(g, asg):
     covered = set()
     slots = {v: {s for a in asg.angles.get(v, ()) for s in a.slots(g.deg(v))}
              for v in g.vertices}
     for e, (u, v) in g.edges.items():
         for w in (u, v):
-            if any(s in slots[w] for s in g.edge_slots(w).get(e, ())):
+            if any(s in slots[w] for s in edge_slots(g, w).get(e, ())):
                 covered.add(e)
     return covered
 
