@@ -8,11 +8,12 @@ Each graph carries one dart index (`RotationGraph.dart_index`), built on
 first use.  A dart is one (vertex, slot) pair; darts are numbered
 0..2|E|-1 in ascending vertex order, so slot s at v is dart first[v] + s.
 The index stores, per dart, its vertex, its edge and its twin (the other
-end of the same edge), and per edge its lower dart.  `g.ends(e)` returns
-an edge's two (vertex, slot) ends from it.  `DartIndex.walk` is the one
-slot-pairing walk over the darts: the max-degree-4 and sextet solvers
-cover with it, and the one capacity orientation (`Orientation`) of the
-exhaustive search and the density test starts from it.
+end of the same edge), and per edge its lower dart.  `g.end_darts(e)` is
+the one rule for which dart is which end of an edge; `g.ends(e)` gives
+them as (vertex, slot) pairs.  `DartIndex.walk` is the one slot-pairing
+walk over the darts: the max-degree-4 and sextet solvers cover with it,
+and the one capacity orientation (`Orientation`) of the exhaustive search
+and the density test starts from it.
 
 The records here and in the other modules are plain classes on one base,
 `_Record`, not dataclasses: every CLI call imports this module, and
@@ -150,14 +151,18 @@ class RotationGraph(_Record):
     def dart_index(self) -> "DartIndex":
         return DartIndex.of(self)
 
-    def ends(self, e: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Edge e = (u, w) as ((u, slot at u), (w, slot at w)); a loop's
-        two slots come in ascending order."""
+    def end_darts(self, e: int) -> tuple[int, int]:
+        """Edge e = (u, w) as (its dart at u, its dart at w); a loop's two
+        darts come in ascending slot order."""
         ix = self.dart_index
         d = ix.dart_of[e]
         t = ix.twin[d]
-        if ix.vertex[d] != self.edges[e][0]:
-            d, t = t, d
+        return (d, t) if ix.vertex[d] == self.edges[e][0] else (t, d)
+
+    def ends(self, e: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """`end_darts(e)` as ((u, slot at u), (w, slot at w))."""
+        ix = self.dart_index
+        d, t = self.end_darts(e)
         return (ix.vertex[d], ix.slot(d)), (ix.vertex[t], ix.slot(t))
 
 
@@ -341,7 +346,7 @@ class Orientation:
                 break
             else:
                 return queue
-            while y != x:  # each edge of the path moves one step towards y
+            while y != x:  # each edge of the path moves one step closer to y
                 h = via[y]
                 holds[y] += (twin[h],)
                 y = rank[h]

@@ -72,14 +72,9 @@ def check_low_density(g: RotationGraph) -> DensityReport:
                 continue
         o.give(f)
         region = o.repair(rank[f], pinned)
-        if region is not None:  # pin it, a slice per run of vertices in a row
-            region.sort()
-            lo = region[0]
-            for y, z in zip(region, [*region[1:], -1]):
-                if z != y + 1:
-                    hi = start[y] + degree[y]
-                    pinned[start[lo] : hi] = b"\1" * (hi - start[lo])
-                    lo = z
+        if region is not None:  # pin it, one slice per vertex
+            for y in region:
+                pinned[start[y] : start[y] + degree[y]] = b"\1" * degree[y]
 
     matching = {}
     for hs in o.holds:

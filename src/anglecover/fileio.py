@@ -21,6 +21,7 @@ file has crossing records or a Multigraph is built.
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 
 from .core import Angle, AngleAssignment, RotationGraph
 
@@ -166,7 +167,7 @@ def parse_cover(text: str) -> AngleAssignment:
 
 
 def serialize_cover(asg: AngleAssignment) -> str:
-    lines = []
-    for ang in sorted(asg.all_angles(), key=lambda a: (a.vertex, a.start)):
-        lines.append(f"angle {ang.vertex} {ang.start} {ang.width}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One `angle` line per angle, by vertex and then start."""
+    angles = sorted(asg.all_angles(), key=attrgetter("vertex", "start"))
+    flat = tuple(chain.from_iterable(map(attrgetter("vertex", "start", "width"), angles)))
+    return ("angle %s %s %s\n" * len(angles)) % flat

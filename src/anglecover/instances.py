@@ -180,7 +180,7 @@ def _fig2a() -> NamedInstance:
 
 
 def _k4_block(tag: str, base: tuple[float, float], up: float) -> tuple[list[str], dict, list]:
-    """A K4 hanging off attachment vertex `<tag>1` (drawn toward `up`)."""
+    """A K4 hanging off attachment vertex `<tag>1`, drawn up (`up` = 1) or down (-1)."""
     x0, y0 = base
     names = [f"{tag}{i}" for i in range(1, 5)]
     pos = {

@@ -472,23 +472,21 @@ def _build_witness_reduction(
             rot += [b_edge[(i, v, j, 0)], b_edge[(i, v, j, 1)]]
         b.rot[xid] = rot
 
-    d_index = {de: i for i, de in enumerate(d_edges)}
+    # Per dart of a D edge: its index in d_edges and the side of the pair
+    # it takes, 0 at the edge's first end (`end_darts`) and 1 at the other.
+    ix = witness.dart_index
+    pair_end = {}
+    for i, de in enumerate(d_edges):
+        head, tail = witness.end_darts(de)
+        pair_end[head], pair_end[tail] = (i, 0), (i, 1)
     for (u, j, v), yid in y_id.items():
         rot = []
-        seen_d: dict[int, int] = {}
-        for e in witness.rotation.get(u, ()):
-            if e not in d_set:
-                rot.append(h_edge[(j, v, e)])
-                continue
-            i = d_index[e]
-            w, w2 = witness.edges[e]
-            occ = seen_d.get(e, 0)
-            seen_d[e] = occ + 1
-            if w == w2:  # loop: its two slots take the pair in order
-                side = occ
+        for d, e in enumerate(witness.rotation.get(u, ()), ix.first[u]):
+            if d in pair_end:
+                i, side = pair_end[d]
+                rot.append(b_edge[(i, v, j, side)])
             else:
-                side = 0 if u == w else 1
-            rot.append(b_edge[(i, v, j, side)])
+                rot.append(h_edge[(j, v, e)])
         b.rot[yid] = rot
 
     h = b.finish()

@@ -404,8 +404,7 @@ def oracle_solve(
         *(forced.keys() & g.edges.keys() if forced else ()),
     })
     for e in todo:
-        d = ix.dart_of[e]
-        ends = (d, twin[d]) if vertex[d] == g.edges[e][0] else (twin[d], d)
+        ends = g.end_darts(e)
         if forced and e in forced:
             ends = tuple(x for x in ends if vertex[x] == forced[e])
             if not ends:
@@ -416,7 +415,7 @@ def oracle_solve(
             if k:
                 assign(neg[twin[pick]], None)
         elif len(ends) == 2 and forced and e in forced and k:
-            pair = [d, twin[d]]
+            pair = list(ends)
             watch(pair, 0)
             watch(pair)
 

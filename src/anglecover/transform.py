@@ -31,8 +31,8 @@ class Crossing(_Record):
     """A crossing of two edge interiors.
 
     `bit` fixes the cyclic order of the four pieces around the crossing:
-    0 means <toward e-source, toward f-source, toward e-target, toward
-    f-target>, 1 swaps f's two ends.
+    0 means <e's piece to its source, f's to its source, e's to its
+    target, f's to its target>, 1 swaps f's two pieces.
     """
 
     __slots__ = _fields = ("e", "f", "bit")
@@ -103,8 +103,9 @@ def planarize(tg: TopologicalGraph) -> RotationGraph:
 
     Each edge with k crossings becomes a path of k+1 pieces; piece j of
     edge e receives id _piece_id(e, j).  The rotation at a crossing vertex
-    follows the crossing's stored orientation bit; original rotations keep
-    their order with first-piece ids substituted in place.
+    follows the crossing's stored orientation bit.  Original rotations
+    keep their order: piece 0 of e takes e's place at its dart at e's first
+    end (`end_darts`), and piece k at the other.
     """
     issues = tg.validate()
     if issues:
@@ -123,43 +124,24 @@ def planarize(tg: TopologicalGraph) -> RotationGraph:
         for i, x in enumerate(seq):
             pos[(e, x)] = i
 
+    # Per dart of g, the piece of its edge that ends there.
+    ix = g.dart_index
+    piece = [0] * len(ix.edge)
     edges: dict[int, tuple[int, int]] = {}
     for e, (u, v) in g.edges.items():
         seq = seqs[e]
         nodes = [u] + [cross_vertex[x] for x in seq] + [v]
         for j in range(len(seq) + 1):
             edges[_piece_id(e, j)] = (nodes[j], nodes[j + 1])
-
-    rotation: dict[int, tuple[int, ...]] = {}
-    for v in g.vertices:
-        slots = []
-        used_last: set[int] = set()
-        for e in g.rotation.get(v, ()):
-            ends = g.edges[e]
-            k = len(seqs[e])
-            if ends[0] == ends[1]:
-                # Self-loops cannot cross anything here (a crossing's edges
-                # must not share endpoints), so both slots stay pieces of e.
-                j = k if e in used_last else 0
-                used_last.add(e)
-            else:
-                j = 0 if v == ends[0] else k
-            slots.append(_piece_id(e, j))
-        rotation[v] = tuple(slots)
+        head, tail = g.end_darts(e)
+        piece[head], piece[tail] = _piece_id(e, 0), _piece_id(e, len(seq))
+    rotation = {v: tuple(piece[ix.first[v] : ix.first[v] + g.deg(v)]) for v in g.vertices}
     for x in sorted(tg.crossings):
         cr = tg.crossings[x]
         i, j = pos[(cr.e, x)], pos[(cr.f, x)]
-        toward = {
-            "es": _piece_id(cr.e, i),
-            "et": _piece_id(cr.e, i + 1),
-            "fs": _piece_id(cr.f, j),
-            "ft": _piece_id(cr.f, j + 1),
-        }
-        if cr.bit == 0:
-            order = ("es", "fs", "et", "ft")
-        else:
-            order = ("es", "ft", "et", "fs")
-        rotation[cross_vertex[x]] = tuple(toward[t] for t in order)
+        es, et = _piece_id(cr.e, i), _piece_id(cr.e, i + 1)
+        fs, ft = _piece_id(cr.f, j), _piece_id(cr.f, j + 1)
+        rotation[cross_vertex[x]] = (es, ft, et, fs) if cr.bit else (es, fs, et, ft)
 
     vertices = tuple(sorted(set(g.vertices) | set(cross_vertex.values())))
     return RotationGraph.build(vertices, edges, rotation)

@@ -307,6 +307,18 @@ def test_ends_matches_a_rotation_scan(g):
 
 @settings(max_examples=200, deadline=None)
 @given(rotation_graphs())
+def test_end_darts_agree_with_ends(g):
+    # `ends` is pinned to a rotation scan above; the darts must be the
+    # edge's own two and name the same ends, a loop's in slot order.
+    ix = g.dart_index
+    for e in g.edges:
+        d, t = g.end_darts(e)
+        assert ix.edge[d] == e and ix.twin[d] == t
+        assert g.ends(e) == ((ix.vertex[d], ix.slot(d)), (ix.vertex[t], ix.slot(t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_graphs())
 def test_trace_faces_survives_reserialization(g):
     def faces(g):  # each face walk as its (vertex, slot) darts
         ix = g.dart_index

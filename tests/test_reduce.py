@@ -15,6 +15,7 @@ from anglecover.core import (
 from anglecover.fileio import serialize_instance
 from anglecover.reduce import (
     InvalidWitnessError,
+    _build_witness_reduction,
     build_T,
     extract_3colouring,
     max_coverage,
@@ -267,6 +268,42 @@ def test_reduce_witness_a1_triangle():
     # a = 1: no witness copies are stacked, just |D| relabelled input copies.
     cert = oracle_solve(h, CoverSpec(1, 2))
     assert cert.verdict == oracle_solve(tri, CoverSpec(1, 2)).verdict
+
+
+# Two witnesses with loops; each D list holds loops and an edge listed
+# from its larger end (W1's edge 1, W2's edge 5), in no sorted order.
+_W1 = rotation_graph([(0, 0), (1, 0), (1, 2), (2, 2), (2, 0)],
+                     {0: (0, 1, 0, 4), 1: (2, 1), 2: (3, 4, 2, 3)})
+_W2 = rotation_graph([(0, 1), (1, 1), (1, 2), (2, 0), (0, 0), (2, 1)],
+                     {0: (4, 0, 3, 4), 1: (1, 5, 0, 2, 1), 2: (3, 5, 2)})
+_SRC = rotation_graph([(0, 1), (1, 2), (2, 0), (2, 3)])
+# sha256 of serialize_instance of `_build_witness_reduction(_SRC, W, D, a)`.
+PINNED_WITNESS_REDUCTIONS = [
+    ("W1-a1", _W1, [0, 1, 3], 1,
+     "dbc37708c713e5fdffb8c190670d128af74a81d7a48643113e2442b033a00050"),
+    ("W1-a2", _W1, [0, 1, 3], 2,
+     "01051f3f2b90f7a7d00ffb1038159a6f44b5abcf0b4fd8f1db794010331e7a0b"),
+    ("W1-a3", _W1, [0, 1, 3], 3,
+     "a77a21460996c5cfd37e2c55b3c88af3b4a20aeb7a54f4c2ed0cd7eaadd028b8"),
+    ("W2-a1", _W2, [4, 1, 5, 0], 1,
+     "6decd47bfd7976542bc959f6e1b0f08781502ae4d3e24e0f8cdf677f9cab5d2c"),
+    ("W2-a2", _W2, [4, 1, 5, 0], 2,
+     "0e5d3e30002e85ecdc6a31ee7778da0c0d6bdf384de152cfa02b4fdde461c27e"),
+    ("W2-a3", _W2, [4, 1, 5, 0], 3,
+     "3819e41a686e95c7998d557a58a0a70511659f99dcee937ba238b993b246a501"),
+]
+
+
+@pytest.mark.parametrize(
+    "witness, d_edges, a, digest",
+    [p[1:] for p in PINNED_WITNESS_REDUCTIONS],
+    ids=[p[0] for p in PINNED_WITNESS_REDUCTIONS],
+)
+def test_witness_reduction_bytes_are_pinned(witness, d_edges, a, digest):
+    h = _build_witness_reduction(_SRC, witness, d_edges, a)
+    assert validate_graph(h) == []
+    text = serialize_instance(h)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_reduce_witness_degree_bound():

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from anglecover.core import UnsupportedInputError, trace_faces
+from anglecover.fileio import parse_instance, serialize_instance
 from anglecover.transform import (
     Crossing,
     TopologicalGraph,
@@ -36,6 +39,29 @@ def test_planarize_single_crossing():
     w = max(out.vertices)
     assert out.deg(w) == 4
     assert trace_faces(out).genus == 0
+
+
+# sha256 of serialize_instance of each planarized instance: a loop that
+# crosses an edge away from its vertex (its two darts take pieces 0 and
+# 1: `rot 0: 0 2`), and two disjoint edges crossing once.
+PINNED_PLANARIZATIONS = [
+    ("crossed-loop",
+     "e 0 0 0\ne 1 1 2\nrot 0: 0 0\nrot 1: 1\nrot 2: 1\nx 0 0 1 0\nseq 0: 0\nseq 1: 0\n",
+     "7a56f517a68afed23102c1727f9e7107af639f7d2b87cc78c7f21c22b62f46b9"),
+    ("cross",
+     "e 0 0 1\ne 1 2 3\nrot 0: 0\nrot 1: 0\nrot 2: 1\nrot 3: 1\nx 0 0 1 0\nseq 0: 0\nseq 1: 0\n",
+     "43e8a57ec5bf2fc43b62c7ff8c44df0d58dfd12aa1103af755996ea2006c11f3"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [p[1:] for p in PINNED_PLANARIZATIONS],
+    ids=[p[0] for p in PINNED_PLANARIZATIONS],
+)
+def test_planarize_bytes_are_pinned(text, digest):
+    out = serialize_instance(planarize(parse_instance(text)))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_planarize_rejects_shared_endpoint_crossing():
