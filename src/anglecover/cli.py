@@ -33,7 +33,6 @@ from .core import (
     RotationGraph,
     UnsupportedInputError,
     check_cover,
-    validate_graph,
 )
 from .fileio import (
     FormatError,
@@ -70,9 +69,7 @@ def _load_graph(path: str) -> RotationGraph:
         raise UnsupportedInputError(
             "this command takes a plain instance; run planarize first"
         )
-    issues = validate_graph(g)
-    if issues:
-        raise UnsupportedInputError("; ".join(issues))
+    g.dart_index  # builds only for a valid graph, else raises its messages
     return g
 
 
@@ -97,7 +94,7 @@ def _solve(
     )
 
     if algo == "auto":
-        degrees = g.dart_index.degree  # indexed by `_load_graph`'s validation
+        degrees = g.dart_index.degree  # built by `_load_graph`
         if spec != BASIC_SPEC:
             algo = "oracle"
         elif max(degrees, default=0) <= 4:

@@ -5,15 +5,20 @@ incident edge ends ("slots").  A self-loop occupies two distinct slots at
 its vertex.  All functions here are pure: they never mutate their inputs.
 
 Each graph carries one dart index (`RotationGraph.dart_index`), built on
-first use.  A dart is one (vertex, slot) pair; darts are numbered
-0..2|E|-1 in ascending vertex order, so slot s at v is dart first[v] + s.
-The index stores, per dart, its vertex, its edge and its twin (the other
-end of the same edge), and per edge its lower dart.  `g.end_darts(e)` is
-the one rule for which dart is which end of an edge; `g.ends(e)` gives
-them as (vertex, slot) pairs.  `DartIndex.walk` is the one slot-pairing
-walk over the darts: the max-degree-4 and sextet solvers cover with it,
-and the one capacity orientation (`Orientation`) of the exhaustive search
-and the density test starts from it.
+first use, and only for a valid graph: its rotations name exactly the
+edges of g, each edge twice, with its two darts at its two endpoints.
+Otherwise `DartIndex.of` raises UnsupportedInputError with the messages
+of `validate_graph`, so every reader of the index sees a valid rotation
+system and none checks one itself.  A dart is one (vertex, slot) pair;
+darts are numbered 0..2|E|-1 in ascending vertex order, so slot s at v
+is dart first[v] + s.  The index stores, per dart, its vertex, its edge
+and its twin (the other end of the same edge), and per edge its lower
+dart.  `g.end_darts(e)` is the one rule for which dart is which end of
+an edge; `g.ends(e)` gives them as (vertex, slot) pairs.
+`DartIndex.walk` is the one slot-pairing walk over the darts: the
+max-degree-4 and sextet solvers cover with it, and the one capacity
+orientation (`Orientation`) of the exhaustive search and the density
+test starts from it.
 
 The records here and in the other modules are plain classes on one base,
 `_Record`, not dataclasses: every CLI call imports this module, and
@@ -167,7 +172,8 @@ class RotationGraph(_Record):
 
 
 class DartIndex(_Record):
-    """Flat per-dart arrays of a rotation graph (see the module docstring)."""
+    """Flat per-dart arrays of a valid rotation graph (see the module
+    docstring); `of` is the package's one check of that validity."""
 
     _fields = ("first", "vertex", "edge", "twin", "dart_of")
     first: dict[int, int]  # vertex -> its slot-0 dart
@@ -191,19 +197,22 @@ class DartIndex(_Record):
         for d, e in enumerate(edge):
             o = dart_of.setdefault(e, d)
             twin[o], twin[d] = d, o
+        edges = g.edges
         # An edge seen once is its own twin; with no such edge, 2|dart_of|
         # darts mean every edge is seen exactly twice.
         if (
-            2 * len(dart_of) != len(edge)
-            or any(map(eq, twin, range(len(twin))))
-            or not g.edges.keys() <= dart_of.keys()
+            2 * len(dart_of) == len(edge)
+            and not any(map(eq, twin, range(len(twin))))
+            and dart_of.keys() == edges.keys()
         ):
-            counts = Counter(edge)
-            bad = next(e for e in (*counts, *g.edges) if counts[e] != 2)
-            raise UnsupportedInputError(
-                f"edge {bad} has {counts[bad]} rotation occurrences, expected 2"
-            )
-        return DartIndex(first, vertex, edge, twin, dart_of)
+            for e, d in dart_of.items():  # its two darts at its two ends
+                u, w = edges[e]
+                x, y = vertex[d], vertex[twin[d]]
+                if not (x == u and y == w or x == w and y == u):
+                    break
+            else:
+                return DartIndex(first, vertex, edge, twin, dart_of)
+        raise UnsupportedInputError("; ".join(_violations(g)))
 
     def slot(self, d: int) -> int:
         return d - self.first[self.vertex[d]]
@@ -479,29 +488,20 @@ class Certificate(_Record):
 def validate_graph(g: RotationGraph) -> list[str]:
     """Check the RotationGraph invariants; returns one message per violation.
 
-    A graph is valid when its dart index builds, names only edges of g,
-    and puts each edge's two darts at the edge's two endpoints (which are
-    then vertices).  The index stays cached on g for the solvers; the
-    messages come from a rotation walk that runs only on invalid graphs.
+    A graph is valid exactly when its dart index builds (`DartIndex.of`),
+    which then stays cached on g for the solvers; the messages come from
+    `_violations`, a rotation walk that runs only on invalid graphs.
     """
     try:
-        ix = g.dart_index
+        g.dart_index
     except UnsupportedInputError:
         return _violations(g)
-    vertex, twin, edges = ix.vertex, ix.twin, g.edges
-    if len(ix.dart_of) == len(edges):
-        for e, d in ix.dart_of.items():
-            u, w = edges[e]
-            x, y = vertex[d], vertex[twin[d]]
-            if not (x == u and y == w or x == w and y == u):
-                break
-        else:
-            return []
-    return _violations(g)
+    return []
 
 
 def _violations(g: RotationGraph) -> list[str]:
-    """validate_graph's messages, from a walk over every rotation entry."""
+    """The messages of an invalid graph, from a walk over every rotation
+    entry; `DartIndex.of` raises them joined by "; "."""
     issues = []
     vset = set(g.vertices)
     for e, (u, v) in sorted(g.edges.items()):
@@ -554,12 +554,11 @@ def check_cover(g: RotationGraph, asg: AngleAssignment, spec: CoverSpec) -> Cove
     contiguous arc of width min(spec.m, deg), and every edge has a covered
     slot at one of its endpoints (either slot, for a self-loop).
     """
-    vset = set(g.vertices)
     ix = g.dart_index
     violations: list[str] = []
     covered = bytearray(len(ix.twin))
     for v, angs in asg.angles.items():
-        if v not in vset:
+        if v not in ix.first:
             raise MalformedAssignmentError(f"assignment names unknown vertex {v}")
         d = g.deg(v)
         if len(angs) > spec.a:

@@ -14,6 +14,7 @@ from the oracle by raising its allowance of uncovered edges.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 from .core import (
     AngleAssignment,
@@ -25,7 +26,9 @@ from .core import (
     coverable_slots,
     _Record,
 )
-from .transform import Multigraph
+
+if TYPE_CHECKING:
+    from .transform import Multigraph
 
 
 class InvalidWitnessError(ValueError):
@@ -105,15 +108,12 @@ class _Builder:
         )
 
 
-def _build_gadgets(
-    g: Multigraph, sep: int = 1, centre_sep: int = 0
-) -> tuple[_Builder, GadgetMap]:
+def _build_gadgets(g: Multigraph, sep: int = 1) -> tuple[_Builder, GadgetMap]:
     """One gadget per source vertex plus the inter-gadget edges.
 
     `sep` is the number of separator leaves on each side of a path
-    vertex (1 for the basic reduction, m-1 for m-wide angles);
-    `centre_sep` leaves go between each consecutive pair of centre path
-    edges (0 basic, m-2 wide).
+    vertex (1 for the basic reduction, m-1 for m-wide angles); one fewer
+    go between each consecutive pair of centre path edges.
     """
     _require_simple(g)
     b = _Builder()
@@ -155,7 +155,7 @@ def _build_gadgets(
             centre_edges[(v, k)] = pe
             path_edges[(v, k, 1)] = pe
             c_rot.append(pe)
-            c_rot.extend(b.attach_leaf(centre[v]) for _ in range(centre_sep))
+            c_rot.extend(b.attach_leaf(centre[v]) for _ in range(sep - 1))
             for j in range(2, d + 1):
                 path_edges[(v, k, j)] = b.add_edge(
                     ev[(v, k, j - 1)], ev[(v, k, j)]
@@ -355,7 +355,7 @@ def reduce_wide(g: Multigraph, m: int) -> RotationGraph:
     every path vertex and m-2 between consecutive centre path edges."""
     if m < 3:
         raise UnsupportedInputError("wide-angle reduction needs m >= 3")
-    b, _ = _build_gadgets(g, sep=m - 1, centre_sep=m - 2)
+    b, _ = _build_gadgets(g, sep=m - 1)
     return b.finish()
 
 

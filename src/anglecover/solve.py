@@ -489,7 +489,7 @@ def solve_deg4(g: RotationGraph) -> Certificate:
     each vertex has at most one outgoing slot in each of the pairs
     {0, 2} and {1, 3}: consecutive slots, covered by one angle.
     """
-    if g.max_degree() > 4:
+    if max(g.dart_index.degree, default=0) > 4:
         raise UnsupportedInputError("solve_deg4 requires maximum degree <= 4")
     return _cover(g, g.dart_index.walk((2, 3, 0, 1)), 2, 1)
 
@@ -508,7 +508,7 @@ def solve_sextet(g: RotationGraph, delta: int) -> Certificate:
     """
     if delta <= 0 or delta % 2:
         raise UnsupportedInputError("delta must be a positive even integer")
-    if g.max_degree() > delta:
+    if max(g.dart_index.degree, default=0) > delta:
         raise UnsupportedInputError(f"graph has degree above {delta}")
     k = delta // 6
     partner = [

@@ -60,7 +60,7 @@ class TopologicalGraph(_Record):
         # Piece ids pair an edge id with a piece index (`_piece_id`), which
         # is injective only on non-negative edge ids.
         issues += [f"edge {e}: negative edge id" for e in sorted(self.base.edges) if e < 0]
-        seen: dict[int, int] = {x: 0 for x in self.crossings}
+        seen: dict[tuple[int, int], int] = {}  # (crossing, edge) -> occurrences
         for e, seq in self.sequences.items():
             if e not in self.base.edges:
                 issues.append(f"sequence names unknown edge {e}")
@@ -72,7 +72,7 @@ class TopologicalGraph(_Record):
                 cr = self.crossings[x]
                 if e not in (cr.e, cr.f):
                     issues.append(f"edge {e}: crossing {x} does not involve it")
-                seen[x] += 1
+                seen[x, e] = seen.get((x, e), 0) + 1
         for x, cr in sorted(self.crossings.items()):
             if cr.e == cr.f:
                 issues.append(f"crossing {x}: an edge cannot cross itself")
@@ -85,11 +85,12 @@ class TopologicalGraph(_Record):
                 issues.append(
                     f"crossing {x}: edges {cr.e} and {cr.f} share an endpoint"
                 )
-            if seen.get(x) != 2:
-                issues.append(
-                    f"crossing {x}: appears {seen.get(x, 0)} times in sequences,"
-                    " expected 2"
-                )
+            for e in (cr.e, cr.f):
+                if (n := seen.get((x, e), 0)) != 1:
+                    issues.append(
+                        f"crossing {x}: appears {n} times in the sequence of edge {e},"
+                        " expected 1"
+                    )
         return issues
 
 

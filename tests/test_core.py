@@ -379,7 +379,15 @@ def test_validate_graph_matches_the_rotation_walk(g, faults, data):
         bad = _inject(data.draw, g, fault)
         if bad is not None:
             g = bad
-    assert validate_graph(g) == reference_validate_graph(g)
+    messages = reference_validate_graph(g)
+    assert validate_graph(g) == messages
+    # The index builds exactly for a valid graph, else raises the messages.
+    if messages:
+        with pytest.raises(UnsupportedInputError) as exc:
+            g.dart_index
+        assert str(exc.value) == "; ".join(messages)
+    else:
+        g.dart_index
 
 
 @pytest.mark.parametrize(
@@ -395,6 +403,31 @@ def test_dart_index_rejects_edge_not_occurring_twice(edges, rotation):
         g.ends(0)
     with pytest.raises(UnsupportedInputError):
         trace_faces(g)
+
+
+@pytest.mark.parametrize(
+    "vertices, rotation",
+    [
+        (range(3), {0: (0,), 1: (), 2: (0,)}),  # edge 0 listed off its end 1
+        (range(2), {0: (0, 5), 1: (0, 5)}),  # every edge twice, one unknown
+    ],
+    ids=["non-incident", "unknown"],
+)
+def test_readers_of_the_index_reject_an_invalid_graph(vertices, rotation):
+    from anglecover.solve import oracle_solve, solve_deg4
+
+    g = RotationGraph.build(vertices, {0: (0, 1)}, rotation)
+    calls = [
+        lambda: solve_deg4(g),
+        lambda: oracle_solve(g),
+        lambda: check_cover(g, AngleAssignment.build({}), BASIC_SPEC),
+        lambda: trace_faces(g),
+        lambda: g.end_darts(0),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedInputError) as exc:
+            call()
+        assert str(exc.value) == "; ".join(validate_graph(g))
 
 
 @settings(max_examples=200, deadline=None)

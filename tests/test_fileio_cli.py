@@ -161,9 +161,19 @@ def test_parse_rejects_repeated_topological_records(text, message):
     assert str(exc.value) == message
 
 
+# Each crossing must sit once in the sequence of each of its two edges;
+# the last two list it twice on one edge and never on the other.
+INCONSISTENT_CROSSINGS = [
+    "e 0 0 1\ne 1 2 3\nx 0 0 1 0\nseq 0: 0\n",
+    "e 0 0 1\ne 1 2 3\nx 0 0 1 0\nseq 0: 0 0\n",
+    "e 0 0 1\ne 1 2 3\ne 3 4 5\nx 0 1 3 0\nseq 1:\nseq 3: 0 0\n",
+]
+
+
 def test_parse_rejects_inconsistent_crossing():
-    with pytest.raises(FormatError):
-        parse_instance("e 0 0 1\ne 1 2 3\nx 0 0 1 0\nseq 0: 0\n")
+    for text in INCONSISTENT_CROSSINGS:
+        with pytest.raises(FormatError):
+            parse_instance(text)
 
 
 def test_cover_round_trip():
@@ -346,7 +356,7 @@ NO_REDUCE = {"anglecover.solve", "anglecover.reduce"}
         (["check", "fig1.inst", "fig1.cover"], NO_REDUCE),
         # Only `reduce witness` searches; the other reductions just build.
         (["reduce", "3col", "tri.inst"], {"anglecover.solve"}),
-        (["instance", "t-graph"], {"anglecover.solve"}),
+        (["instance", "t-graph"], {"anglecover.solve", "anglecover.transform"}),
         # The orientation both searches share lives in core.
         (["solve", "fig1.inst"], {f"anglecover.{m}" for m in ("density", "allocate", "transform")}),
         # The matching reference is not the density test.
@@ -618,6 +628,15 @@ def test_cli_planarize_rejects_an_invalid_rotation(tmp_path, capsys, text, messa
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", INCONSISTENT_CROSSINGS[1:], ids=["one-seq", "empty-seq"])
+def test_cli_planarize_rejects_a_crossing_twice_on_one_edge(tmp_path, capsys, text):
+    f = write(tmp_path, "x.inst", text)
+    assert main(["planarize", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: crossing 0: ")
 
 
 @pytest.mark.parametrize(
