@@ -137,7 +137,7 @@ def optimal_allocation(g: RotationGraph) -> tuple[AngleAssignment, int]:
 
     Each matched medial edge becomes the angle at its provenance
     (vertex, consecutive-slot pair); every graph edge left uncovered gets
-    one extra angle at its lower-id endpoint starting at the edge's slot.
+    one extra angle starting at its lower dart (`DartIndex.dart_of`).
     """
     med, provenance = medial_graph(g)
     matching = max_matching_general(med)
@@ -151,11 +151,13 @@ def optimal_allocation(g: RotationGraph) -> tuple[AngleAssignment, int]:
         angles.setdefault(v, []).append(Angle(v, s, 2))
         covered.update(pair)
 
+    ix = g.dart_index
     for e in sorted(g.edges):
         if e in covered:
             continue
-        w, slot = min(g.ends(e))
-        angles.setdefault(w, []).append(Angle(w, slot, min(2, g.deg(w))))
+        d = ix.dart_of[e]
+        w = ix.vertex[d]
+        angles.setdefault(w, []).append(Angle(w, ix.slot(d), min(2, g.deg(w))))
         covered.add(e)
 
     asg = AngleAssignment.build(angles)

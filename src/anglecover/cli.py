@@ -94,12 +94,11 @@ def _solve(
     )
 
     if algo == "auto":
-        degrees = g.dart_index.degree  # built by `_load_graph`
         if spec != BASIC_SPEC:
             algo = "oracle"
-        elif max(degrees, default=0) <= 4:
+        elif g.max_degree() <= 4:
             algo = "deg4"
-        elif 3 not in degrees:
+        elif 3 not in g.dart_index.degree:
             algo = "2sat"
         else:
             algo = "oracle"

@@ -13,8 +13,11 @@ system and none checks one itself.  A dart is one (vertex, slot) pair;
 darts are numbered 0..2|E|-1 in ascending vertex order, so slot s at v
 is dart first[v] + s.  The index stores, per dart, its vertex, its edge
 and its twin (the other end of the same edge), and per edge its lower
-dart.  `g.end_darts(e)` is the one rule for which dart is which end of
-an edge; `g.ends(e)` gives them as (vertex, slot) pairs.
+dart.  As permutations of the darts, `twin` is α and `succ` is the
+rotation σ, so a face is an orbit of σ∘α.  Only `DartIndex.of` turns
+`g.rotation` into darts (`deg`, `_violations` and the file writer read
+it too).  `g.end_darts(e)` is the one rule for which dart is which end
+of an edge; `g.ends(e)` gives them as (vertex, slot) pairs.
 `DartIndex.walk` is the one slot-pairing walk over the darts: the
 max-degree-4 and sextet solvers cover with it, and the one capacity
 orientation (`Orientation`) of the exhaustive search and the density
@@ -136,21 +139,10 @@ class RotationGraph(_Record):
         return len(self.rotation.get(v, ()))
 
     def max_degree(self) -> int:
-        return max((self.deg(v) for v in self.vertices), default=0)
+        return max(self.dart_index.degree, default=0)
 
     def has_loops(self) -> bool:
         return any(u == v for u, v in self.edges.values())
-
-    def is_simple(self) -> bool:
-        seen = set()
-        for u, v in self.edges.values():
-            if u == v:
-                return False
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
 
     @cached_property
     def dart_index(self) -> "DartIndex":
@@ -173,7 +165,8 @@ class RotationGraph(_Record):
 
 class DartIndex(_Record):
     """Flat per-dart arrays of a valid rotation graph (see the module
-    docstring); `of` is the package's one check of that validity."""
+    docstring); `of` is the package's one check of that validity, and
+    the cached `succ`, `degree` and `rank` derive from its arrays."""
 
     _fields = ("first", "vertex", "edge", "twin", "dart_of")
     first: dict[int, int]  # vertex -> its slot-0 dart
@@ -222,6 +215,16 @@ class DartIndex(_Record):
         """Per vertex, in the order of `first` (ascending), its degree."""
         starts = list(self.first.values())
         return list(map(sub, [*starts[1:], len(self.edge)], starts))
+
+    @cached_property
+    def succ(self) -> list[int]:
+        """Per dart, the dart of the next slot at its vertex, slot 0 after
+        the last: the rotation σ as a permutation of the darts."""
+        succ = list(range(1, len(self.edge) + 1))
+        for d, k in zip(self.first.values(), self.degree):
+            if k:
+                succ[d + k - 1] = d
+        return succ
 
     @cached_property
     def rank(self) -> list[int]:
@@ -373,6 +376,20 @@ def find(parent, x):
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def simple_graph_fault(edges: dict[int, tuple[int, int]]) -> str | None:
+    """The first requirement of a simple graph that `edges` breaks, in edge
+    order: "loop-free" (a loop) or "simple" (a repeated pair); else None."""
+    seen = set()
+    for u, v in edges.values():
+        if u == v:
+            return "loop-free"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return "simple"
+        seen.add(key)
+    return None
 
 
 class CoverSpec(_Record):
@@ -605,10 +622,9 @@ class FaceData(_Record):
 def _face_cycles(ix: DartIndex):
     """Each face as the list of its darts, in walk order: cross the edge,
     then turn to the next rotation slot."""
-    first, vertex, twin = ix.first, ix.vertex, ix.twin
-    n = len(twin)
-    seen = bytearray(n)
-    for start in range(n):
+    succ, twin = ix.succ, ix.twin
+    seen = bytearray(len(twin))
+    for start in range(len(twin)):
         if seen[start]:
             continue
         cycle = []
@@ -616,11 +632,7 @@ def _face_cycles(ix: DartIndex):
         while not seen[d]:
             seen[d] = 1
             cycle.append(d)
-            t = twin[d]
-            w = vertex[t]
-            d = t + 1  # the next slot at w, wrapping round to slot 0
-            if d == n or vertex[d] != w:
-                d = first[w]
+            d = succ[twin[d]]
         yield cycle
 
 
@@ -635,11 +647,10 @@ def trace_faces(g: RotationGraph) -> FaceData:
     It keeps no face; `_face_cycles` walks them where a caller needs one.
     """
     ix = g.dart_index
-    first, vertex, twin = ix.first, ix.vertex, ix.twin
-    n = len(twin)
-    seen = bytearray(n)
+    succ, twin = ix.succ, ix.twin
+    seen = bytearray(len(twin))
     f = c = 0
-    for root in range(n):
+    for root in range(len(twin)):
         if seen[root]:
             continue
         c += 1
@@ -653,10 +664,7 @@ def trace_faces(g: RotationGraph) -> FaceData:
                 seen[d] = 1
                 t = twin[d]
                 across.append(t)
-                w = vertex[t]
-                d = t + 1
-                if d == n or vertex[d] != w:
-                    d = first[w]
+                d = succ[t]
     isolated = ix.degree.count(0)
     c += isolated
     defect = 2 * c - len(g.vertices) + len(g.edges) - (f + isolated)

@@ -24,6 +24,7 @@ from .core import (
     UnsupportedInputError,
     check_cover,
     coverable_slots,
+    simple_graph_fault,
     _Record,
 )
 
@@ -58,17 +59,6 @@ class GadgetMap(_Record):
     edge_order: dict[int, tuple[int, ...]]
     centre_edges: dict[tuple[int, int], int]
     cross_edges: dict[int, tuple[int, int, int]]
-
-
-def _require_simple(g: Multigraph) -> None:
-    seen = set()
-    for u, v in g.edges.values():
-        if u == v:
-            raise UnsupportedInputError("input graph must be loop-free")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise UnsupportedInputError("input graph must be simple")
-        seen.add(key)
 
 
 class _Builder:
@@ -115,7 +105,9 @@ def _build_gadgets(g: Multigraph, sep: int = 1) -> tuple[_Builder, GadgetMap]:
     vertex (1 for the basic reduction, m-1 for m-wide angles); one fewer
     go between each consecutive pair of centre path edges.
     """
-    _require_simple(g)
+    fault = simple_graph_fault(g.edges)
+    if fault:
+        raise UnsupportedInputError(f"input graph must be {fault}")
     b = _Builder()
     incident: dict[int, list[int]] = {v: [] for v in g.vertices}
     for e in sorted(g.edges):
@@ -466,8 +458,10 @@ def _build_witness_reduction(
                     x_id[(v, i)], y_id[(w2, j, v)]
                 )
 
+    gix = g_input.dart_index
     for (v, i), xid in x_id.items():
-        rot = [g_edge[(i, e)] for e in g_input.rotation.get(v, ())]
+        d = gix.first[v]
+        rot = [g_edge[(i, e)] for e in gix.edge[d : d + g_input.deg(v)]]
         for j in range(a - 1):
             rot += [b_edge[(i, v, j, 0)], b_edge[(i, v, j, 1)]]
         b.rot[xid] = rot
@@ -481,12 +475,12 @@ def _build_witness_reduction(
         pair_end[head], pair_end[tail] = (i, 0), (i, 1)
     for (u, j, v), yid in y_id.items():
         rot = []
-        for d, e in enumerate(witness.rotation.get(u, ()), ix.first[u]):
+        for d in range(ix.first[u], ix.first[u] + witness.deg(u)):
             if d in pair_end:
                 i, side = pair_end[d]
                 rot.append(b_edge[(i, v, j, side)])
             else:
-                rot.append(h_edge[(j, v, e)])
+                rot.append(h_edge[(j, v, ix.edge[d])])
         b.rot[yid] = rot
 
     h = b.finish()

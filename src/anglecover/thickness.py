@@ -21,6 +21,7 @@ from .core import (
     RotationGraph,
     UnsupportedInputError,
     check_cover,
+    simple_graph_fault,
     trace_faces,
     _Record,
 )
@@ -48,7 +49,7 @@ def blowup_decomposition(
     1 of the other end.  A source edge covered at both ends keeps the
     cross edge of its smaller endpoint.
     """
-    if not g.is_simple():
+    if simple_graph_fault(g.edges):
         raise UnsupportedInputError("decomposition needs a simple graph")
     if trace_faces(g).genus != 0:
         raise UnsupportedInputError("decomposition needs a plane embedding")

@@ -153,33 +153,27 @@ def medial_graph(
 ) -> tuple[Multigraph, dict[int, tuple[int, tuple[int, int]]]]:
     """The medial graph plus provenance.
 
-    One medial vertex per edge of g; one candidate medial edge per
-    consecutive slot pair at each vertex (a degree-2 vertex contributes
+    One medial vertex per edge of g; one candidate medial edge per dart
+    d, joining the edges of d and of `succ[d]` (a degree-2 vertex gives
     two parallel candidates, degree-1 a loop).  Loops are dropped and
-    parallels deduplicated; the provenance maps each surviving medial edge
-    to its (vertex, (slot, next slot)) origin.
+    parallels deduplicated in dart order (by vertex, then slot); the
+    provenance maps each surviving medial edge to its (vertex, (slot,
+    next slot)) origin.
     """
-    edges: dict[int, tuple[int, int]] = {}
-    provenance: dict[int, tuple[int, tuple[int, int]]] = {}
-    seen_pairs: set[tuple[int, int]] = set()
-    next_id = 0
-    for v in sorted(g.vertices):
-        rot = g.rotation.get(v, ())
-        d = len(rot)
-        if d < 2:
+    ix = g.dart_index
+    first, vertex, edge = ix.first, ix.vertex, ix.edge
+    edges, provenance, seen_pairs = {}, {}, set()
+    for d, t in enumerate(ix.succ):
+        e1, e2 = edge[d], edge[t]
+        if e1 == e2:
+            continue  # medial loop
+        key = (e1, e2) if e1 < e2 else (e2, e1)
+        if key in seen_pairs:
             continue
-        for s in range(d):
-            t = (s + 1) % d
-            e1, e2 = rot[s], rot[t]
-            if e1 == e2:
-                continue  # medial loop
-            key = (e1, e2) if e1 < e2 else (e2, e1)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            edges[next_id] = key
-            provenance[next_id] = (v, (s, t))
-            next_id += 1
+        seen_pairs.add(key)
+        v = vertex[d]
+        provenance[len(edges)] = (v, (d - first[v], t - first[v]))
+        edges[len(edges)] = key
     return Multigraph(tuple(sorted(g.edges)), edges), provenance
 
 

@@ -300,6 +300,43 @@ def brute_3col(g, cap=20):
     return "YES" if go(0) else "NO"
 
 
+def reference_faces(g):
+    """(face count, genus) of g's combinatorial map, walked over
+    `g.rotation` with the next slot at w as (s + 1) % deg(w): the
+    reference for `trace_faces`.  An isolated vertex is a component with
+    one face; like `trace_faces`, the count leaves those faces out and
+    the genus takes them in."""
+    ends = {}
+    for v in g.vertices:
+        for s, e in enumerate(g.rotation.get(v, ())):
+            ends.setdefault(e, []).append((v, s))
+    twin = {}
+    for a, b in ends.values():
+        twin[a], twin[b] = b, a
+    seen = set()
+    faces = 0
+    for start in twin:
+        if start in seen:
+            continue
+        faces += 1
+        d = start
+        while d not in seen:
+            seen.add(d)
+            w, s = twin[d]
+            d = (w, (s + 1) % len(g.rotation[w]))
+    isolated = sum(not g.rotation.get(v) for v in g.vertices)
+    root = {v: v for v in g.vertices}
+    for u, v in g.edges.values():
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        root[u] = v
+    components = sum(root[v] == v for v in g.vertices)
+    defect = 2 * components - len(g.vertices) + len(g.edges) - faces - isolated
+    return faces, defect // 2
+
+
 def reference_validate_graph(g):
     """validate_graph as a walk over every rotation entry, kept as the
     reference for the messages and their order."""

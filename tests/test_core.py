@@ -1,9 +1,11 @@
+import ast
 import copy
 import importlib
 import pickle
 import pkgutil
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from anglecover.core import (
     RotationGraph,
     UnsupportedInputError,
     check_cover,
+    simple_graph_fault,
     trace_faces,
     validate_graph,
     _Record,
@@ -30,6 +33,7 @@ from conftest import (
     complete_rotation_graph,
     disjoint_union,
     edge_slots,
+    reference_faces,
     reference_validate_graph,
     rotation_graph,
 )
@@ -315,6 +319,66 @@ def test_end_darts_agree_with_ends(g):
         d, t = g.end_darts(e)
         assert ix.edge[d] == e and ix.twin[d] == t
         assert g.ends(e) == ((ix.vertex[d], ix.slot(d)), (ix.vertex[t], ix.slot(t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_graphs())
+def test_succ_is_the_rotation(g):
+    # On graphs with loops, parallel edges, isolated and degree-1 vertices.
+    ix = g.dart_index
+    assert sorted(ix.succ) == list(range(len(ix.edge)))
+    for d, t in enumerate(ix.succ):
+        v = ix.vertex[d]
+        assert ix.vertex[t] == v
+        assert ix.slot(t) == (ix.slot(d) + 1) % g.deg(v)
+    faces = trace_faces(g)
+    assert (faces.num_faces, faces.genus) == reference_faces(g)
+
+
+# The readers of `.rotation`: the degree by vertex id, the index builder,
+# the messages of an invalid graph and the file writer.  Everything else
+# reads the dart index.
+ROTATION_READERS = {"RotationGraph.deg", "DartIndex.of", "_violations", "serialize_instance"}
+
+
+def _rotation_reads(node, scope=()):
+    """(enclosing function or class, line) of each `.rotation` read."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _rotation_reads(child, (*scope, child.name))
+            continue
+        if (
+            isinstance(child, ast.Attribute)
+            and child.attr == "rotation"
+            and isinstance(child.ctx, ast.Load)
+        ):
+            yield ".".join(scope), child.lineno
+        yield from _rotation_reads(child, scope)
+
+
+def test_only_the_index_builder_turns_the_rotation_into_darts():
+    package = Path(anglecover.__file__).parent
+    stray = [
+        f"{path.name}:{line} in {where or 'module'}"
+        for path in sorted(package.glob("*.py"))
+        for where, line in _rotation_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if where not in ROTATION_READERS
+    ]
+    assert stray == []
+
+
+@pytest.mark.parametrize(
+    "pairs, fault",
+    [
+        ([], None),
+        ([(0, 1), (1, 2), (2, 0)], None),
+        ([(0, 1), (1, 1), (1, 0)], "loop-free"),
+        ([(0, 1), (1, 0), (1, 1)], "simple"),
+        ([(2, 1), (1, 2)], "simple"),
+    ],
+)
+def test_simple_graph_fault_names_the_first_fault(pairs, fault):
+    assert simple_graph_fault(dict(enumerate(pairs))) == fault
 
 
 @settings(max_examples=200, deadline=None)

@@ -73,6 +73,15 @@ def test_rejects_nonplane_input():
         blowup_decomposition(g, cert.assignment)
 
 
+@pytest.mark.parametrize(
+    "pairs", [[(0, 1), (1, 1)], [(0, 1), (1, 2), (1, 0)]], ids=["loop", "parallel"]
+)
+def test_rejects_non_simple_input(pairs):
+    g = rotation_graph(pairs)
+    with pytest.raises(UnsupportedInputError, match="^decomposition needs a simple graph$"):
+        blowup_decomposition(g, solved(g))
+
+
 def test_rejects_invalid_cover():
     from anglecover.core import Angle, AngleAssignment
 
