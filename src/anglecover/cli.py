@@ -1,16 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = usage or input error,
-3 = solver budget exhausted (INDETERMINATE), 4 = internal error, which
-includes output that fails its own --verify self-check (solve, allocate,
-decompose).  decompose without a cover file solves as `solve --algo auto`
-does.  solve, decompose and reduce witness take the search budget, a
-bound on the oracle's decisions plus conflicts, from the ANGLESET_BUDGET
-environment variable, read by `main`; for solve and reduce witness, which
-have a --budget option, that option takes precedence (decompose has
-none).  A bad value, like a non-positive --budget, is a usage error.
-`solve --algo` with a special solver exits 2 for a spec that solver does
-not decide.
+Exit codes: 0 = YES / valid, 1 = NO / invalid, 2 = refused input (an
+UnsupportedInputError: a bad file, argument or environment variable) or
+an OSError, 3 = solver budget exhausted (INDETERMINATE), 4 = any other
+exception, a ValueError included, or output that fails its own --verify
+check (solve, allocate, decompose): a fault of the program.  decompose
+without a cover file solves as `solve --algo auto` does.  The search
+budget of solve, decompose and reduce witness, a bound on the oracle's
+decisions plus conflicts, is --budget where given, else ANGLESET_BUDGET
+(read by `main`); a value that is not a positive integer is refused, as
+is a spec that the special solver named by `solve --algo` does not decide.
 
 Each call loads only what its command uses: this module imports `core`
 and `fileio`, and each `_cmd_*` imports its solver, transform or
@@ -29,13 +28,11 @@ from .core import (
     DEFAULT_BUDGET,
     Certificate,
     CoverSpec,
-    MalformedAssignmentError,
     RotationGraph,
     UnsupportedInputError,
     check_cover,
 )
 from .fileio import (
-    FormatError,
     instance_to_multigraph,
     parse_cover,
     parse_instance,
@@ -58,9 +55,18 @@ INSTANCE_NAMES = (
 )
 
 
+def _refuse(convert, *args):
+    """convert(*args); a standard-library ValueError on bad input (not
+    UTF-8, more digits than int() takes) is refused with its message."""
+    try:
+        return convert(*args)
+    except ValueError as exc:
+        raise UnsupportedInputError(str(exc)) from exc
+
+
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        return _refuse(fh.read)
 
 
 def _load_graph(path: str) -> RotationGraph:
@@ -275,12 +281,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_instance(args) -> int:
     from .instances import get_instance
 
-    try:
-        inst = get_instance(args.name)
-    except KeyError as exc:
-        # str() of a KeyError quotes its message; print the message bare.
-        raise UnsupportedInputError(exc.args[0]) from exc
-    sys.stdout.write(serialize_instance(inst.graph))
+    sys.stdout.write(serialize_instance(get_instance(args.name).graph))
     return EXIT_YES
 
 
@@ -392,20 +393,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = os.environ.get("ANGLESET_BUDGET", str(DEFAULT_BUDGET))
-        if not raw.isdecimal() or int(raw) < 1:
-            raise ValueError(f"ANGLESET_BUDGET is not a positive integer: {raw!r}")
+        budget = _refuse(int, raw) if raw.isdecimal() else 0
+        if budget < 1:
+            raise UnsupportedInputError(f"ANGLESET_BUDGET is not a positive integer: {raw!r}")
         if getattr(args, "budget", None) is None:
-            args.budget = int(raw)
+            args.budget = budget
         elif args.budget < 1:
-            raise ValueError(f"--budget is not a positive integer: {args.budget}")
+            raise UnsupportedInputError(f"--budget is not a positive integer: {args.budget}")
         return args.func(args)
-    except (
-        FormatError,
-        MalformedAssignmentError,
-        UnsupportedInputError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (UnsupportedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -39,12 +39,14 @@ from itertools import chain, compress, repeat
 from operator import eq, is_, sub
 
 
-class MalformedAssignmentError(ValueError):
-    """An angle assignment references a vertex or slot that does not exist."""
-
-
 class UnsupportedInputError(ValueError):
-    """The input graph violates a precondition of the requested operation."""
+    """Refused input, the CLI's exit 2: a broken precondition, a bad argument,
+    name or file (`fileio.FormatError`), a malformed assignment, a witness with
+    a cover (`reduce.InvalidWitnessError`).  Any other ValueError is a fault."""
+
+
+class MalformedAssignmentError(UnsupportedInputError):
+    """An angle assignment references a vertex or slot that does not exist."""
 
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
@@ -403,9 +405,9 @@ class CoverSpec(_Record):
     # Its own constructor: it validates a and m.
     def __init__(self, a=1, m=2):
         if a < 1:
-            raise ValueError("need a >= 1")
+            raise UnsupportedInputError("need a >= 1")
         if m < 2:
-            raise ValueError("need m >= 2")
+            raise UnsupportedInputError("need m >= 2")
         _set(self, "a", a)
         _set(self, "m", m)
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 from itertools import chain
 from operator import attrgetter
 
-from .core import Angle, AngleAssignment, RotationGraph
+from .core import Angle, AngleAssignment, RotationGraph, UnsupportedInputError
 
 
-class FormatError(ValueError):
-    pass
+class FormatError(UnsupportedInputError):
+    """A file that is not an InstanceFile or a CoverFile."""
 
 
 def _tokens(text: str):

@@ -21,7 +21,7 @@ import math
 import random
 from itertools import product
 
-from .core import Angle, AngleAssignment, RotationGraph, _Record, find
+from .core import Angle, AngleAssignment, RotationGraph, UnsupportedInputError, _Record, find
 
 
 class NamedInstance(_Record):
@@ -413,7 +413,8 @@ def instance_names() -> list[str]:
 
 def get_instance(name: str) -> NamedInstance:
     if name not in _CATALOGUE:
-        raise KeyError(f"unknown instance {name!r}; known: {', '.join(instance_names())}")
+        known = ", ".join(instance_names())
+        raise UnsupportedInputError(f"unknown instance {name!r}; known: {known}")
     return _CATALOGUE[name]()
 
 
@@ -515,9 +516,11 @@ def _random_rotation_graph(edges: dict[int, tuple[int, int]], n: int, rng) -> Ro
 def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
     """Connected random multigraph with max degree <= dmax, random rotations."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise UnsupportedInputError("need n >= 1")
     if n >= 2 and dmax < 1 or n >= 3 and dmax < 2:
-        raise ValueError(f"no connected graph on {n} vertices with max degree {dmax}")
+        raise UnsupportedInputError(
+            f"no connected graph on {n} vertices with max degree {dmax}"
+        )
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     capacity = [dmax] * n
@@ -557,9 +560,9 @@ def gen_random_bounded_degree(n: int, dmax: int, seed) -> RotationGraph:
 def gen_regular(n: int, d: int, seed) -> RotationGraph:
     """d-regular random multigraph (configuration model), random rotations."""
     if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
+        raise UnsupportedInputError("need n >= 1 and d >= 0")
     if (n * d) % 2:
-        raise ValueError("n * d must be even")
+        raise UnsupportedInputError("n * d must be even")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     _shuffle(rng.getrandbits, stubs)
@@ -570,7 +573,7 @@ def gen_regular(n: int, d: int, seed) -> RotationGraph:
 def random_henneberg_steps(k: int, seed) -> list[tuple]:
     """k random valid Henneberg steps starting from a single edge."""
     if k < 0:
-        raise ValueError(f"need k >= 0 steps, got {k}")
+        raise UnsupportedInputError(f"need k >= 0 steps, got {k}")
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     n = 2
@@ -614,25 +617,25 @@ def gen_henneberg_laman(steps: list[tuple], seed) -> RotationGraph:
         if step[0] == "s1":
             _, u, v = step
             if not (0 <= u < n and 0 <= v < n and u != v):
-                raise ValueError(f"invalid S1 step {step!r}")
+                raise UnsupportedInputError(f"invalid S1 step {step!r}")
             edges[next_edge] = (u, n)
             edges[next_edge + 1] = (v, n)
             next_edge += 2
         elif step[0] == "s2":
             _, e, w = step
             if e not in edges:
-                raise ValueError(f"invalid S2 step {step!r}: no edge {e}")
+                raise UnsupportedInputError(f"invalid S2 step {step!r}: no edge {e}")
             x, y = edges.pop(e)
             if w is None:
                 w = min(z for z in range(min(n, 3)) if z not in (x, y))
             if not (0 <= w < n) or w in (x, y):
-                raise ValueError(f"invalid S2 step {step!r}")
+                raise UnsupportedInputError(f"invalid S2 step {step!r}")
             edges[next_edge] = (x, n)
             edges[next_edge + 1] = (y, n)
             edges[next_edge + 2] = (w, n)
             next_edge += 3
         else:
-            raise ValueError(f"unknown step kind {step[0]!r}")
+            raise UnsupportedInputError(f"unknown step kind {step[0]!r}")
         n += 1
     return _random_rotation_graph(edges, n, rng)
 
@@ -642,7 +645,7 @@ def gen_random_outerplane(n: int, seed) -> RotationGraph:
     of the diagonals of a random triangulation, rotations from the convex
     drawing."""
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise UnsupportedInputError("need n >= 3")
     rng = random.Random(seed)
     diagonals: list[tuple[int, int]] = []
 
@@ -671,7 +674,7 @@ def gen_random_plane_deg4(n: int, seed) -> RotationGraph:
     """Random plane graph with max degree 4: a connected random subgraph
     of a unit grid with the rotation read off the drawing."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise UnsupportedInputError("need n >= 1")
     rng = random.Random(seed)
     side = max(2, math.isqrt(n - 1) + 1)
     # Cell (x, y) is x * side + y.  A random walk collects n distinct

@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from .transform import Multigraph
 
 
-class InvalidWitnessError(ValueError):
+class InvalidWitnessError(UnsupportedInputError):
     """The supplied witness graph actually admits a cover."""
 
 
@@ -390,9 +390,7 @@ def reduce_witness(
     angles on the reinstated D edges, leaving exactly one free angle that
     mirrors the input problem.
     """
-    if a < 1:
-        raise UnsupportedInputError("need a >= 1")
-    spec = CoverSpec(a, 2)
+    spec = CoverSpec(a, 2)  # refuses a < 1
     if witness.max_degree() > 2 * a + 3:
         raise UnsupportedInputError("witness max degree exceeds 2a+3")
     if g_input.max_degree() > 5:

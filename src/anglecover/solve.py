@@ -408,7 +408,7 @@ def oracle_solve(
         if forced and e in forced:
             ends = tuple(x for x in ends if vertex[x] == forced[e])
             if not ends:
-                raise ValueError(f"edge {e} cannot be forced to vertex {forced[e]}")
+                raise UnsupportedInputError(f"edge {e} cannot be forced to vertex {forced[e]}")
         pick = next((x for x in ends if free[rank[x]]), ends[0] if len(ends) == 1 else None)
         if pick is not None:
             assign(pick, None)

@@ -341,29 +341,53 @@ def test_succ_is_the_rotation(g):
 ROTATION_READERS = {"RotationGraph.deg", "DartIndex.of", "_violations", "serialize_instance"}
 
 
-def _rotation_reads(node, scope=()):
-    """(enclosing function or class, line) of each `.rotation` read."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _rotation_reads(child, (*scope, child.name))
-            continue
-        if (
-            isinstance(child, ast.Attribute)
-            and child.attr == "rotation"
-            and isinstance(child.ctx, ast.Load)
-        ):
-            yield ".".join(scope), child.lineno
-        yield from _rotation_reads(child, scope)
+def _package_nodes():
+    """(module file name, enclosing function or class, node) of each node
+    of the package's source."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, (*scope, child.name))
+                continue
+            yield ".".join(scope), child
+            yield from walk(child, scope)
+
+    for path in sorted(Path(anglecover.__file__).parent.glob("*.py")):
+        for where, node in walk(ast.parse(path.read_text(encoding="utf-8")), ()):
+            yield path.name, where, node
 
 
 def test_only_the_index_builder_turns_the_rotation_into_darts():
-    package = Path(anglecover.__file__).parent
     stray = [
-        f"{path.name}:{line} in {where or 'module'}"
-        for path in sorted(package.glob("*.py"))
-        for where, line in _rotation_reads(ast.parse(path.read_text(encoding="utf-8")))
-        if where not in ROTATION_READERS
+        f"{name}:{node.lineno} in {where or 'module'}"
+        for name, where, node in _package_nodes()
+        if isinstance(node, ast.Attribute)
+        and node.attr == "rotation"
+        and isinstance(node.ctx, ast.Load)
+        and where not in ROTATION_READERS
     ]
+    assert stray == []
+
+
+# What `cli.main` sends to exit 2, and what to exit 4.
+MAIN_CATCHES = {"UnsupportedInputError", "OSError", "Exception"}
+
+
+def test_refused_input_has_one_class():
+    # A refusal is an UnsupportedInputError, so `cli.main` can tell it from a
+    # fault by its class: a bare ValueError is raised only where only a fault
+    # reaches (`min_arc_cover`), and `main` catches nothing narrower.
+    stray = []
+    for name, where, node in _package_nodes():
+        if isinstance(node, ast.Raise) and (name, where) != ("solve.py", "min_arc_cover"):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == "ValueError":
+                stray.append(f"{name}:{node.lineno} in {where}: raise ValueError")
+        if isinstance(node, ast.ExceptHandler) and (name, where) == ("cli.py", "main"):
+            # A bare `except:` catches everything.
+            caught = {n.id for n in ast.walk(node.type or ast.Name("BaseException"))
+                      if isinstance(n, ast.Name)}
+            stray += [f"{name}:{node.lineno}: except {c}" for c in sorted(caught - MAIN_CATCHES)]
     assert stray == []
 
 

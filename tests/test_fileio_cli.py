@@ -1,10 +1,14 @@
+import io
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anglecover
 from anglecover.cli import main
@@ -240,6 +244,19 @@ def test_cli_budget_env_bad_value(monkeypatch, capsys):
         monkeypatch.setenv("ANGLESET_BUDGET", bad)
         assert main(["instance", "fig1"]) == 2
         assert capsys.readouterr().err.startswith("error: ANGLESET_BUDGET")
+
+
+def test_cli_budget_env_with_more_digits_than_int_takes(monkeypatch, capsys):
+    # int() raises its own ValueError beyond 4300 digits; the value is still
+    # the caller's, so it is refused under int()'s message, not a fault.
+    monkeypatch.setenv("ANGLESET_BUDGET", "9" * 5000)
+    assert main(["instance", "fig1"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: Exceeds the limit (4300 digits) for integer string conversion:"
+        " value has 5000 digits; use sys.set_int_max_str_digits() to increase"
+        " the limit\n",
+    )
 
 
 def test_cli_budget_env_override(tmp_path, monkeypatch):
@@ -577,6 +594,18 @@ def test_cli_io_error():
     assert main(["solve", "/does/not/exist.inst"]) == 2
 
 
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "bom.inst"
+    f.write_bytes(b"\xff\xfe" + serialize_instance(get_instance("fig1").graph).encode())
+    cover = write(tmp_path, "fig1.cover", serialize_cover(get_instance("fig1").cover))
+    for argv in (["solve", str(f)], ["check", str(f), cover]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        )
+
+
 def test_cli_rejects_duplicate_rotation(tmp_path, capsys):
     f = write(tmp_path, "d.inst", "e 0 0 0\nrot 0: 0 0\nrot 0: 0 0\n")
     assert main(["solve", f]) == 2
@@ -650,14 +679,23 @@ def test_cli_solve_outerplane_rejects_k4(tmp_path, capsys, rotation):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-def test_cli_internal_error_exits_4_with_one_line(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        (RuntimeError("solver fault\nsecond line"), "RuntimeError: solver fault second line"),
+        # The message of `min_arc_cover`'s fault check.  A ValueError raised
+        # inside the package once exited 2, as if the input were bad.
+        (ValueError("slot out of range"), "ValueError: slot out of range"),
+    ],
+    ids=["RuntimeError", "ValueError"],
+)
+def test_cli_internal_error_exits_4_with_one_line(tmp_path, monkeypatch, capsys, fault, line):
     def broken(*args, **kwargs):
-        raise RuntimeError("solver fault\nsecond line")
+        raise fault
 
     monkeypatch.setattr("anglecover.solve.oracle_solve", broken)
     assert main(["solve", "--algo", "oracle", inst_file(tmp_path, "fig1")]) == 4
-    err = capsys.readouterr().err
-    assert err == "internal error: RuntimeError: solver fault second line\n"
+    assert capsys.readouterr() == ("", f"internal error: {line}\n")
 
 
 def test_cli_failed_self_check_exits_4(tmp_path, monkeypatch, capsys):
@@ -715,3 +753,64 @@ def test_cli_reduce_witness_budget_exhausted_is_indeterminate(
     monkeypatch.setenv("ANGLESET_BUDGET", "1")
     assert main(argv) == 3
     assert capsys.readouterr() == ("", "INDETERMINATE: search budget exhausted\n")
+
+
+FUZZ_COMMANDS = [
+    ["solve"], ["check"], ["density"], ["allocate", "--verify"], ["planarize"],
+    ["medial"], ["blowup"], ["decompose", "--verify"], ["reduce", "3col"],
+]
+
+
+@st.composite
+def mutated_catalogue_files(draw):
+    """A catalogue instance file with one mutation: a line dropped or
+    duplicated, a token replaced by another integer, a word or a 5000-digit
+    number, one `rot` line shuffled, or a non-UTF-8 byte prepended."""
+    name = draw(st.sampled_from(instance_names()))
+    lines = serialize_instance(get_instance(name).graph).splitlines()
+    kind = draw(st.sampled_from(["drop", "duplicate", "token", "shuffle", "byte"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif kind == "token":
+        toks = lines[i].split()
+        j = draw(st.integers(0, len(toks) - 1))
+        new = draw(st.one_of(
+            st.integers(-2, 40).map(str), st.sampled_from(["e", "rot", "x", "seq", "v"]),
+            st.just("9" * 5000),
+        ))
+        toks[j] = new + ":" if toks[j].endswith(":") else new
+        lines[i] = " ".join(toks)
+    elif kind == "shuffle":
+        i = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("rot")]))
+        head, slots = lines[i].split(":")
+        lines[i] = head + ": " + " ".join(draw(st.permutations(slots.split())))
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "byte":
+        data = draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3"])) + data
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "fig1.cover").write_text(serialize_cover(get_instance("fig1").cover))
+    return folder
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=mutated_catalogue_files(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_cli_contract_on_mutated_catalogue_files(fuzz_dir, data, command):
+    # Every run answers (0, 1, 3) or refuses the input (2); none is a fault.
+    (fuzz_dir / "g.inst").write_bytes(data)
+    argv = [*command, str(fuzz_dir / "g.inst")]
+    if command == ["check"]:
+        argv.append(str(fuzz_dir / "fig1.cover"))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"ANGLESET_BUDGET": "20000"}):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "internal error" not in err.getvalue()
