@@ -7,12 +7,14 @@ its vertex.  All functions here are pure: they never mutate their inputs.
 Each graph carries one dart index (`RotationGraph.dart_index`), built on
 first use, and only for a valid graph: its rotations name exactly the
 edges of g, each edge twice, with its two darts at its two endpoints.
-Otherwise `DartIndex.of` raises UnsupportedInputError with the messages
-of `validate_graph`, so every reader of the index sees a valid rotation
-system and none checks one itself.  A dart is one (vertex, slot) pair;
-darts are numbered 0..2|E|-1 in ascending vertex order, so slot s at v
-is dart first[v] + s.  The index stores, per dart, its vertex, its edge
-and its twin (the other end of the same edge), and per edge its lower
+`DartIndex.of` decides that in its one pass over the darts, checking
+each edge as its second dart is met, and otherwise raises
+UnsupportedInputError with the messages of `validate_graph`, so every
+reader of the index sees a valid rotation system and none checks one
+itself.  A dart is one (vertex, slot) pair; darts are numbered
+0..2|E|-1 in ascending vertex order, so slot s at v is dart first[v] + s.
+The index stores, per vertex, its degree; per dart, its vertex, its edge
+and its twin (the other end of the same edge); and per edge its lower
 dart.  As permutations of the darts, `twin` is α and `succ` is the
 rotation σ, so a face is an orbit of σ∘α.  Only `DartIndex.of` turns
 `g.rotation` into darts (`deg`, `_violations` and the file writer read
@@ -36,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import eq, is_, sub
+from operator import is_
 
 
 class UnsupportedInputError(ValueError):
@@ -168,10 +170,11 @@ class RotationGraph(_Record):
 class DartIndex(_Record):
     """Flat per-dart arrays of a valid rotation graph (see the module
     docstring); `of` is the package's one check of that validity, and
-    the cached `succ`, `degree` and `rank` derive from its arrays."""
+    the cached `succ` and `rank` derive from its arrays."""
 
-    _fields = ("first", "vertex", "edge", "twin", "dart_of")
+    _fields = ("first", "degree", "vertex", "edge", "twin", "dart_of")
     first: dict[int, int]  # vertex -> its slot-0 dart
+    degree: list[int]  # per vertex, in the order of `first` (ascending)
     vertex: list[int]  # dart -> vertex
     edge: list[int]  # dart -> edge id
     twin: list[int]  # dart -> the other dart of its edge
@@ -180,43 +183,34 @@ class DartIndex(_Record):
     @staticmethod
     def of(g: RotationGraph) -> "DartIndex":
         first: dict[int, int] = {}
+        degree: list[int] = []
         vertex: list[int] = []
         edge: list[int] = []
         for v in sorted(g.vertices):
             rot = g.rotation.get(v, ())
             first[v] = len(edge)
+            degree.append(len(rot))
             vertex += [v] * len(rot)
             edge += rot
+        edges = g.edges
         dart_of: dict[int, int] = {}
-        twin = [0] * len(edge)
+        twin = [-1] * len(edge)
         for d, e in enumerate(edge):
             o = dart_of.setdefault(e, d)
-            twin[o], twin[d] = d, o
-        edges = g.edges
-        # An edge seen once is its own twin; with no such edge, 2|dart_of|
-        # darts mean every edge is seen exactly twice.
-        if (
-            2 * len(dart_of) == len(edge)
-            and not any(map(eq, twin, range(len(twin))))
-            and dart_of.keys() == edges.keys()
-        ):
-            for e, d in dart_of.items():  # its two darts at its two ends
-                u, w = edges[e]
-                x, y = vertex[d], vertex[twin[d]]
-                if not (x == u and y == w or x == w and y == u):
+            if o != d:
+                # The second dart of e: e is an edge of g, not yet paired,
+                # with its two darts at its two ends.
+                ends, x, y = edges.get(e), vertex[o], vertex[d]
+                if twin[o] >= 0 or ends != (x, y) and ends != (y, x):
                     break
-            else:
-                return DartIndex(first, vertex, edge, twin, dart_of)
+                twin[o], twin[d] = d, o
+        else:  # every dart paired, and every edge of g seen
+            if -1 not in twin and len(dart_of) == len(edges):
+                return DartIndex(first, degree, vertex, edge, twin, dart_of)
         raise UnsupportedInputError("; ".join(_violations(g)))
 
     def slot(self, d: int) -> int:
         return d - self.first[self.vertex[d]]
-
-    @cached_property
-    def degree(self) -> list[int]:
-        """Per vertex, in the order of `first` (ascending), its degree."""
-        starts = list(self.first.values())
-        return list(map(sub, [*starts[1:], len(self.edge)], starts))
 
     @cached_property
     def succ(self) -> list[int]:

@@ -326,6 +326,7 @@ def test_end_darts_agree_with_ends(g):
 def test_succ_is_the_rotation(g):
     # On graphs with loops, parallel edges, isolated and degree-1 vertices.
     ix = g.dart_index
+    assert ix.degree == [g.deg(v) for v in sorted(g.vertices)]
     assert sorted(ix.succ) == list(range(len(ix.edge)))
     for d, t in enumerate(ix.succ):
         v = ix.vertex[d]
@@ -483,14 +484,16 @@ def test_validate_graph_matches_the_rotation_walk(g, faults, data):
     [
         ({0: (0, 1)}, {0: (0,), 1: ()}),
         ({0: (0, 0), 1: (0, 1)}, {0: (0, 0, 0, 1), 1: (1,)}),
+        ({0: (0, 1)}, {0: (0, 0), 1: ()}),  # twice at one end, never at the other
+        ({0: (0, 1), 1: (0, 1)}, {0: (0,), 1: (0,)}),  # edge 1 in no rotation
     ],
 )
 def test_dart_index_rejects_edge_not_occurring_twice(edges, rotation):
     g = RotationGraph.build(range(2), edges, rotation)
-    with pytest.raises(UnsupportedInputError):
-        g.ends(0)
-    with pytest.raises(UnsupportedInputError):
-        trace_faces(g)
+    for call in (lambda: g.ends(0), lambda: trace_faces(g)):
+        with pytest.raises(UnsupportedInputError) as exc:
+            call()
+        assert str(exc.value) == "; ".join(validate_graph(g))
 
 
 @pytest.mark.parametrize(
